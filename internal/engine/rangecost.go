@@ -252,10 +252,12 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 	}
 	if newBase != base || top-newBase > len(latest.seconds) {
 		// Re-base and/or regrow: publish a fresh, fully-filled
-		// generation. Geometric capacity keeps this O(log band) per
-		// batch lifetime.
+		// generation. Capacity doubles only when the band outgrows the
+		// current one, which keeps upward growth O(log band) per batch
+		// lifetime; a re-base whose band still fits allocates just the
+		// band, so repeated new context minima cannot compound it.
 		c := top - newBase
-		if 2*len(latest.seconds) > c {
+		if c > len(latest.seconds) && 2*len(latest.seconds) > c {
 			c = 2 * len(latest.seconds)
 		}
 		v := &stepVec{base: newBase, seconds: make([]float64, c)}

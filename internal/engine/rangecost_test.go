@@ -266,3 +266,31 @@ func TestDecodeStepCostsConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestMasterRebaseKeepsCapacityBounded pins the master vector's growth
+// rule: a run whose windows keep setting new context minima at one
+// batch re-bases the master every time, and its capacity must stay
+// within twice the covered band however many minima arrive.
+func TestMasterRebaseKeepsCapacityBounded(t *testing.T) {
+	e := rangeTestEngine(t, "vLLM")
+	const top = 4000
+	for i := 0; i < 2000; i++ {
+		ctx := top - i
+		v, err := e.DecodeStepVec(4, ctx, 64) // at least the 64-cell first allocation
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.DecodeStepCost(4, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Seconds()[0]; got != want.Seconds {
+			t.Fatalf("anchor %d: view starts at %v, want the step cost %v", ctx, got, want.Seconds)
+		}
+		m := e.vecs.get(3, 0)
+		if band := int(m.n.Load()); len(m.seconds) > 2*band {
+			t.Fatalf("after %d descending anchors the master holds %d cells for a %d-context band",
+				i+1, len(m.seconds), band)
+		}
+	}
+}

@@ -81,3 +81,44 @@ func TestMonolithicWarmCycleAllocs(t *testing.T) {
 		t.Errorf("warm monolithic alloc/extend/free cycle allocates %.1f times, want 0", avg)
 	}
 }
+
+// TestPrefixPagedWarmCycleAllocs pins MaxExtendSteps' reused headroom
+// scratch: the first three sequences stay short of the 256-token
+// shared prefix, so every probe also sorts deep headrooms, and still
+// nothing allocates once warm.
+func TestPrefixPagedWarmCycleAllocs(t *testing.T) {
+	p, err := NewPrefixPaged(16, 256, 65536, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs [8]Seq
+	start := func(i int) int { return 96 * i }
+	cycle := func() {
+		for i := range seqs {
+			seq, err := p.Alloc(start(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs[i] = seq
+		}
+		for step := 0; step < 32; step++ {
+			if p.MaxExtendSteps(seqs[:], 64) < 1 {
+				t.Fatal("warm pool unexpectedly full")
+			}
+			for i, seq := range seqs {
+				if err := p.Extend(seq, start(i)+step+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		_ = p.UsedBytes()
+		_ = p.WasteBytes()
+		for _, seq := range seqs {
+			p.Free(seq)
+		}
+	}
+	cycle() // warm the slot table, free stack, and headroom scratch
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Errorf("warm prefix alloc/probe/extend/free cycle allocates %.1f times, want 0", avg)
+	}
+}

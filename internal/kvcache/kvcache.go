@@ -35,6 +35,7 @@ package kvcache
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrOutOfMemory is returned when an allocation cannot be satisfied.
@@ -77,7 +78,8 @@ type Allocator interface {
 	// succeed without ErrOutOfMemory. It never mutates state; the
 	// serving schedulers use it to bound how many identical decode
 	// iterations they may fast-forward in one event. An unknown or
-	// stale handle makes the result 0.
+	// stale handle makes the result 0, and a handle listed twice
+	// counts twice. Every allocator answers in one pass over seqs.
 	MaxExtendSteps(seqs []Seq, limit int) int
 }
 
@@ -149,7 +151,7 @@ type Paged struct {
 	freeBlocks    int
 	slackTokens   int // reserved-but-unwritten tokens across live seqs
 	table         seqTable
-	scratch       []int // reused by MaxExtendSteps (token counts)
+	room          headroom // reused by MaxExtendSteps
 }
 
 // NewPaged creates a paged allocator over capacityBytes of storage.
@@ -196,6 +198,13 @@ func (p *Paged) Extend(seq Seq, tokens int) error {
 	if tokens < cur {
 		return fmt.Errorf("kvcache: cannot shrink sequence %d (%d -> %d)", seq, cur, tokens)
 	}
+	if tokens <= p.table.aux[slot]*p.BlockTokens {
+		// Still inside the last owned block — the common case of a
+		// decode window — so no block moves and no division is needed.
+		p.slackTokens -= tokens - cur
+		p.table.tokens[slot] = tokens
+		return nil
+	}
 	need := p.blocksFor(tokens) - p.table.aux[slot]
 	if need > p.freeBlocks {
 		return ErrOutOfMemory
@@ -236,49 +245,101 @@ func (p *Paged) CapacityBytes() float64 { return p.capacity }
 // CanAlloc implements Allocator.
 func (p *Paged) CanAlloc(tokens int) bool { return p.blocksFor(tokens) <= p.freeBlocks }
 
-// MaxExtendSteps implements Allocator. Block demand is monotone in the
-// step count, so the largest feasible k is found by binary search; a
-// cumulative demand that fits also fits at every intermediate step and
-// in any per-step extension order. The sequence states are read once
-// up front (into a reused buffer — the hot serving loop calls this
-// per coalesced window) so the search probes are pure arithmetic.
+// MaxExtendSteps implements Allocator in closed form: one pass over
+// seqs reads each sequence's headroom — the unwritten tokens of its
+// last block, aux·B − tokens — and headroom inverts the block demand
+// directly, with no search and no per-sequence division.
 func (p *Paged) MaxExtendSteps(seqs []Seq, limit int) int {
-	if limit <= 0 {
-		return 0
-	}
-	toks := p.scratch[:0]
-	base := 0
-	for _, s := range seqs {
-		slot := p.table.lookup(s)
-		if slot < 0 {
-			return 0
-		}
-		toks = append(toks, p.table.tokens[slot])
-		base += p.table.aux[slot]
-	}
-	p.scratch = toks
-	b := p.BlockTokens
-	demand := func(k int) int {
-		blocks := -base
-		for _, t := range toks {
-			blocks += (t + k + b - 1) / b
-		}
-		return blocks
-	}
-	lo, hi := 0, limit
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if demand(mid) <= p.freeBlocks {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
+	return p.room.maxExtendSteps(&p.table, seqs, p.BlockTokens, 0, p.freeBlocks, limit)
 }
 
 // Sequences returns the number of live sequences.
 func (p *Paged) Sequences() int { return p.table.live }
+
+// --- closed-form window headroom ------------------------------------------
+
+// headroom inverts the block demand of sequences advancing together,
+// for Paged and PrefixPaged alike. A sequence with headroom h (tokens
+// it can still write without a new block) needs ⌈(k − h)/B⌉ blocks
+// once k > h steps have passed, and none before. Writing h = a·B + b
+// and k = q·B + r (0 ≤ b, r < B), n sequences together need
+//
+//	demand(q·B + r) = Σ_{a ≤ q} (q − a) + #{a ≤ q, b < r}
+//
+// blocks. When every a is 0 (always for Paged) this is q·n + #{b < r},
+// so with F free blocks the answer is q·B + b₍R+1₎ for q = ⌊F/n⌋,
+// R = F − q·n, and b₍R+1₎ the (R+1)-th smallest b, read off a
+// histogram of b. Headrooms of a block or more (PrefixPaged sequences
+// still short of the shared prefix) wait in deep until q reaches
+// their a. The scratch is reused across calls, so a warm query
+// allocates nothing.
+type headroom struct {
+	hist []int // hist[b]: counted sequences with headroom ≡ b (mod B)
+	deep []int // headrooms ≥ B, not yet counted in hist
+}
+
+// maxExtendSteps implements MaxExtendSteps over a table whose
+// sequences each hold aux·b + shared − tokens tokens of headroom
+// (shared = 0 for Paged), with free blocks left in the pool.
+func (h *headroom) maxExtendSteps(t *seqTable, seqs []Seq, b, shared, free, limit int) int {
+	if limit <= 0 {
+		return 0
+	}
+	n := len(seqs)
+	if n == 0 || free/n*b >= limit {
+		// ⌊F/n⌋ more blocks each cover limit steps whatever the
+		// headrooms are, so only the handles need checking.
+		for _, s := range seqs {
+			if t.lookup(s) < 0 {
+				return 0
+			}
+		}
+		return limit
+	}
+	if cap(h.hist) < b {
+		h.hist = make([]int, b)
+	}
+	hist := h.hist[:b]
+	clear(hist)
+	h.deep = h.deep[:0]
+	for _, s := range seqs {
+		slot := t.lookup(s)
+		if slot < 0 {
+			return 0
+		}
+		if room := t.aux[slot]*b + shared - t.tokens[slot]; room < b {
+			hist[room]++
+		} else {
+			h.deep = append(h.deep, room)
+		}
+	}
+	m := n - len(h.deep) // sequences counted in hist
+	q, used := 0, 0      // whole blocks of steps, and demand(q·B)
+	slices.Sort(h.deep)
+	for i := 0; i < len(h.deep); {
+		a := h.deep[i] / b
+		if m > 0 && q+(free-used)/m < a {
+			break // the pool runs dry before these sequences need a block
+		}
+		used += m * (a - q)
+		q = a
+		for ; i < len(h.deep) && h.deep[i] < (a+1)*b; i++ {
+			hist[h.deep[i]-a*b]++
+			m++
+		}
+	}
+	step := (free - used) / m
+	q += step
+	rest := free - used - step*m // < m: blocks left for the partial block
+	r := 0
+	for seen := hist[0]; seen <= rest; seen += hist[r] {
+		r++
+	}
+	if k := q*b + r; k < limit {
+		return k
+	}
+	return limit
+}
 
 // --- Monolithic allocator ----------------------------------------------
 

@@ -34,11 +34,12 @@ type PrefixPaged struct {
 	capacity     float64
 	totalBlocks  int
 	freeBlocks   int
+	sharedTokens int // tokens in the shared prefix's full blocks
 	prefixBlocks int // full blocks of the shared prefix
 	prefixRef    int // sequences currently referencing them
 	slackTokens  int // private reserved-but-unwritten tokens
 	table        seqTable
-	scratch      []int // reused by MaxExtendSteps (token counts)
+	room         headroom // reused by MaxExtendSteps
 }
 
 // NewPrefixPaged creates the allocator. The shared prefix's blocks are
@@ -67,6 +68,7 @@ func NewPrefixPaged(blockTokens, prefixTokens int, bytesPerToken, capacityBytes 
 		capacity:      capacityBytes,
 		totalBlocks:   total,
 		freeBlocks:    total,
+		sharedTokens:  prefixTokens / blockTokens * blockTokens,
 	}, nil
 }
 
@@ -75,11 +77,10 @@ func (p *PrefixPaged) sharedFullBlocks() int { return p.PrefixTokens / p.BlockTo
 // privateBlocksFor returns the private blocks a sequence of the given
 // total length needs: everything beyond the shared full blocks.
 func (p *PrefixPaged) privateBlocksFor(tokens int) int {
-	sharedTokens := p.sharedFullBlocks() * p.BlockTokens
-	if tokens <= sharedTokens {
+	if tokens <= p.sharedTokens {
 		return 0
 	}
-	rest := tokens - sharedTokens
+	rest := tokens - p.sharedTokens
 	return (rest + p.BlockTokens - 1) / p.BlockTokens
 }
 
@@ -87,7 +88,7 @@ func (p *PrefixPaged) privateBlocksFor(tokens int) int {
 // tokens: private block capacity minus the tokens beyond the shared
 // prefix.
 func (p *PrefixPaged) privateSlack(tokens, private int) int {
-	privTokens := tokens - p.sharedFullBlocks()*p.BlockTokens
+	privTokens := tokens - p.sharedTokens
 	if privTokens < 0 {
 		privTokens = 0
 	}
@@ -136,6 +137,13 @@ func (p *PrefixPaged) Extend(seq Seq, tokens int) error {
 		return fmt.Errorf("kvcache: cannot shrink sequence %d", seq)
 	}
 	private := p.table.aux[slot]
+	if tokens <= private*p.BlockTokens+p.sharedTokens {
+		// Still inside the last private block (or the shared prefix):
+		// no block moves, as in Paged.Extend.
+		p.slackTokens += p.privateSlack(tokens, private) - p.privateSlack(cur, private)
+		p.table.tokens[slot] = tokens
+		return nil
+	}
 	need := p.privateBlocksFor(tokens) - private
 	if need > p.freeBlocks {
 		return ErrOutOfMemory
@@ -185,41 +193,13 @@ func (p *PrefixPaged) CanAlloc(tokens int) bool {
 }
 
 // MaxExtendSteps implements Allocator: like Paged, but demand counts
-// private blocks only (the shared prefix never grows). The sequence
-// states are read once up front into a reused buffer, so the search
-// probes are pure arithmetic.
+// private blocks only (the shared prefix never grows), so a
+// sequence's headroom also covers the shared-prefix tokens it has not
+// reached yet — a block or more only for contexts shorter than the
+// shared full blocks, which replayed traces can produce. headroom
+// resolves those exactly.
 func (p *PrefixPaged) MaxExtendSteps(seqs []Seq, limit int) int {
-	if limit <= 0 {
-		return 0
-	}
-	toks := p.scratch[:0]
-	base := 0
-	for _, s := range seqs {
-		slot := p.table.lookup(s)
-		if slot < 0 {
-			return 0
-		}
-		toks = append(toks, p.table.tokens[slot])
-		base += p.table.aux[slot]
-	}
-	p.scratch = toks
-	demand := func(k int) int {
-		blocks := -base
-		for _, t := range toks {
-			blocks += p.privateBlocksFor(t + k)
-		}
-		return blocks
-	}
-	lo, hi := 0, limit
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if demand(mid) <= p.freeBlocks {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
+	return p.room.maxExtendSteps(&p.table, seqs, p.BlockTokens, p.sharedTokens, p.freeBlocks, limit)
 }
 
 // Sequences returns the number of live sequences.
@@ -239,7 +219,7 @@ func (p *PrefixPaged) HotPrefixTokens() int {
 	if p.prefixRef == 0 {
 		return 0
 	}
-	return p.sharedFullBlocks() * p.BlockTokens
+	return p.sharedTokens
 }
 
 // RestorablePrefixTokens reports shared-prefix tokens held in a lower

@@ -283,7 +283,7 @@ func (t *Tiered) Alloc(tokens int) (Seq, error) {
 	if err != nil {
 		return 0, err
 	}
-	shared := t.gpu.sharedFullBlocks() * t.gpu.BlockTokens
+	shared := t.gpu.sharedTokens
 	if shared == 0 {
 		return seq, nil
 	}
@@ -360,7 +360,7 @@ func (t *Tiered) RestorablePrefixTokens() int {
 	if !t.tier.Has(prefixTierID) {
 		return 0
 	}
-	return t.gpu.sharedFullBlocks() * t.gpu.BlockTokens
+	return t.gpu.sharedTokens
 }
 
 // HostUsedBytes reports the storage demoted blocks occupy on the host.

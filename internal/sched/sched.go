@@ -188,16 +188,6 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 	return stats, nil
 }
 
-// CoalesceWindow re-exports the kernel's window-sizing primitive
-// (internal/des); see des.CoalesceWindow for the contract (the result
-// is a shared immutable snapshot view, not a caller-owned buffer).
-// Retained here because the coalescing machinery grew up in this
-// package.
-func CoalesceWindow(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
-	batch, ctx0, kMax int, now, nextArrival float64) ([]float64, error) {
-	return des.CoalesceWindow(eng, alloc, seqs, batch, ctx0, kMax, now, nextArrival)
-}
-
 // Summarize aggregates completed request lifecycles into Stats. It is
 // the single summary implementation behind both the single-replica
 // scheduler and the cluster simulators (internal/cluster).
