@@ -9,6 +9,7 @@
 //
 // -j bounds the worker pool interactive regeneration fans out on
 // (custom sweeps, /api/run?id=all); values below 1 mean every core.
+// A single serving simulation (/api/serve) runs on one core.
 package main
 
 import (

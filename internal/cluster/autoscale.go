@@ -7,7 +7,7 @@ package cluster
 // a scale-tick event handler on the shared kernel (internal/des):
 // ticks fire immediately before each arrival, so window bounds at the
 // next arrival also keep the scaling trajectory byte-identical
-// between the coalesced, stepped, serial, and parallel paths.
+// between the coalesced and stepped paths.
 
 import (
 	"errors"
@@ -85,7 +85,6 @@ func ServeAutoscale(cfg Config, as Autoscale, reqs []workload.Request) (AutoStat
 		PrefillChunk:   cfg.PrefillChunk,
 		Static:         cfg.Static,
 		Stepped:        cfg.Stepped,
-		Parallelism:    cfg.Parallelism,
 	})
 	k.Reuse(cfg.Scratch)
 	defer k.Release()

@@ -17,9 +17,7 @@
 // this package contributes only the routing policy (and, in
 // autoscale.go, the scale-tick handler); the kernel owns arrival
 // delivery, the coalesced-window advance, and the determinism
-// contract. Replicas may be advanced on per-replica goroutines
-// between arrival barriers (Config.Parallelism) with Stats
-// byte-identical to the serial and Stepped paths.
+// contract: Stats are byte-identical to the Stepped path.
 package cluster
 
 import (
@@ -113,11 +111,6 @@ type Config struct {
 	// PrefillChunk is the slice size in tokens (default 512).
 	PrefillChunk int
 
-	// Parallelism ≥ 2 advances replicas on that many goroutines
-	// between arrival barriers (see internal/des); values ≤ 1 run
-	// serially. Stats are byte-identical at any setting.
-	Parallelism int
-
 	// Stepped disables iteration coalescing (see internal/des): one
 	// decode iteration per simulator event instead of fast-forwarding
 	// identical iterations between state changes. Output is
@@ -200,7 +193,6 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 		PrefillChunk:   cfg.PrefillChunk,
 		Static:         cfg.Static,
 		Stepped:        cfg.Stepped,
-		Parallelism:    cfg.Parallelism,
 		Transfer:       cfg.Transfer,
 	})
 	k.Reuse(cfg.Scratch)

@@ -115,3 +115,64 @@ func TestAutoscaleCoalescedMatchesStepped(t *testing.T) {
 		t.Errorf("completed %d/60", co.Completed)
 	}
 }
+
+// TestClusterSteppedMatchesCoalesced repeats the cluster equivalence
+// on a denser trace over four replicas, for both routers.
+func TestClusterSteppedMatchesCoalesced(t *testing.T) {
+	reqs := longClusterTrace(t, 64, 3, 384)
+	for _, policy := range []Policy{RoundRobin, LeastLoaded} {
+		co, err := Serve(Config{Replicas: makeReplicas(t, 4), Policy: policy, MaxBatch: 8}, reqs)
+		if err != nil {
+			t.Fatalf("%v coalesced: %v", policy, err)
+		}
+		st, err := Serve(Config{Replicas: makeReplicas(t, 4), Policy: policy, MaxBatch: 8, Stepped: true}, reqs)
+		if err != nil {
+			t.Fatalf("%v stepped: %v", policy, err)
+		}
+		if !reflect.DeepEqual(st, co) {
+			t.Errorf("%v: stepped Stats differ from coalesced", policy)
+		}
+	}
+}
+
+// TestAutoscaleSteppedMatchesCoalesced extends the autoscaler
+// equivalence to a bursty trace whose scaling trajectory (events,
+// peak) includes scale-downs that retire an empty replica while the
+// remaining replicas still hold in-flight requests.
+func TestAutoscaleSteppedMatchesCoalesced(t *testing.T) {
+	as := Autoscale{
+		Factory:       autoscaleFactory(t),
+		Min:           1,
+		Max:           5,
+		UpOutstanding: 6,
+		DownIdleS:     4,
+		CooldownS:     1,
+	}
+	reqs := burstyTrace(t)
+	co, err := ServeAutoscale(Config{MaxBatch: 8}, as, reqs)
+	if err != nil {
+		t.Fatalf("coalesced: %v", err)
+	}
+	st, err := ServeAutoscale(Config{MaxBatch: 8, Stepped: true}, as, reqs)
+	if err != nil {
+		t.Fatalf("stepped: %v", err)
+	}
+	if !reflect.DeepEqual(st, co) {
+		t.Error("stepped AutoStats differ from coalesced")
+	}
+
+	// The trajectory must actually exercise down-scaling while work
+	// is in flight: at some scale-down instant, requests were still
+	// being served (the retired replica was empty; its peers were
+	// not). Without this the equivalence above would not cover the
+	// retire path.
+	sawLiveDown := false
+	for _, e := range co.Events {
+		if !e.Up && e.TimeS < co.MakespanS {
+			sawLiveDown = true
+		}
+	}
+	if !sawLiveDown {
+		t.Error("trace must force a scale-down while requests are in flight")
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,7 +31,8 @@ import (
 // the worker pool interactive regeneration fans out on (the
 // `llmbench-dashboard -j` flag): custom sweeps evaluate their grid
 // points concurrently and multi-id /api/run requests regenerate
-// experiments concurrently. Values below 1 mean GOMAXPROCS. Output is
+// experiments concurrently; a single /api/serve simulation runs on
+// one goroutine. Values below 1 mean GOMAXPROCS. Output is
 // deterministic at any setting (internal/pool orders results by
 // submission).
 func Handler(parallelism int) http.Handler {
@@ -643,14 +643,9 @@ type serveParams struct {
 	autoscale          bool
 }
 
+// serveSim runs one serving simulation on the request's goroutine:
+// the kernel advances replicas serially, so the -j pool is not used.
 func (s *server) serveSim(w http.ResponseWriter, p serveParams) {
-	// The -j flag follows the pool convention (<1 = all cores) while
-	// the DES kernel treats ≤1 as serial: resolve before handing it
-	// over so the default actually runs replicas on goroutines.
-	par := s.parallelism
-	if par < 1 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	var md strings.Builder
 	var stats llmbench.ClusterStats
 	if p.autoscale {
@@ -658,8 +653,7 @@ func (s *server) serveSim(w http.ResponseWriter, p serveParams) {
 			System: p.sys, MaxBatch: p.maxBatch,
 			MinReplicas: 1, MaxReplicas: p.replicas,
 			UpOutstanding: 2 * p.maxBatch, DownIdleS: 3, CooldownS: 1,
-			Parallelism: par,
-			Seed:        42, Requests: p.requests, RatePerSec: p.rate,
+			Seed: 42, Requests: p.requests, RatePerSec: p.rate,
 			InputMean: p.inMean, OutputMean: p.outMean,
 			BurstFactor: 4, BurstLenS: 4,
 		})
@@ -675,8 +669,7 @@ func (s *server) serveSim(w http.ResponseWriter, p serveParams) {
 		var err error
 		stats, err = llmbench.ServeCluster(llmbench.ClusterConfig{
 			System: p.sys, Replicas: p.replicas, LeastLoaded: true,
-			MaxBatch: p.maxBatch, Parallelism: par,
-			Seed: 42, Requests: p.requests, RatePerSec: p.rate,
+			MaxBatch: p.maxBatch, Seed: 42, Requests: p.requests, RatePerSec: p.rate,
 			InputMean: p.inMean, OutputMean: p.outMean,
 		})
 		if err != nil {

@@ -55,31 +55,32 @@
 // aggregation, so Stats never depend on which station's events
 // happened to be appended first.
 //
-// # Parallelism
+// # Barriers
 //
 // Stations interact only at arrival instants (routing and scale
 // decisions read queue lengths across stations); between two
 // consecutive arrival times every station evolves independently. The
-// kernel exploits this with a conservative time-window barrier: all
-// station events strictly before the next arrival run concurrently on
-// persistent worker goroutines (Config.Parallelism ≥ 2), then the
-// kernel joins and processes the arrival serially. Because each
+// kernel therefore advances in conservative time-window barriers: it
+// runs every due station's events strictly before the next arrival,
+// one station after another, then processes the arrival. Because each
 // station's trajectory is a pure function of its own state and the
-// barrier time, Stats are byte-identical at any Parallelism — the
-// property tests assert serial == parallel == Stepped to the last
-// bit.
+// barrier time, the order stations advance in cannot matter — the
+// property tests assert coalesced == Stepped to the last bit.
 //
 // Disaggregated fleets add a second interaction channel: kv-transfer
-// deliveries, whose instants are not in the trace. The barrier stays
-// conservative by never extending past the transfer horizon — the
-// earliest instant any not-yet-generated transfer could deliver
-// (every awake prefill station's next event time plus the
-// interconnect latency floor, see transferHorizon) — and decode
-// stations' coalesced windows are cut at the same bound (xferCut), so
-// a window never fast-forwards across a delivery that could change
-// admission. Transfers generated inside a barrier are parked on their
-// station (Station.xfers) and merged into the kernel's pending queue
-// serially after the join, keeping station advances share-nothing.
+// deliveries, whose instants are not in the trace. Advancing each due
+// station all the way to the barrier before the next one starts means
+// a prefill station's window could schedule a delivery before a
+// decode station's already-advanced clock, and that station could
+// not take it back. The barrier therefore never extends past the
+// transfer horizon — the earliest instant any not-yet-generated
+// transfer could deliver (every awake prefill station's next event
+// time plus the interconnect latency floor, see transferHorizon) —
+// and decode stations' coalesced windows are cut at the same bound
+// (xferCut), so a window never fast-forwards across a delivery that
+// could change admission. Transfers generated inside a barrier are
+// parked on their station (Station.xfers) and merged into the
+// kernel's pending queue after every due station has advanced.
 //
 // # Performance notes
 //
@@ -176,11 +177,6 @@ type Config struct {
 	// Output is byte-identical either way; Stepped only costs time.
 	Stepped bool
 
-	// Parallelism ≥ 2 advances stations on that many persistent
-	// worker goroutines between arrival barriers; values ≤ 1 advance
-	// them serially. Stats are byte-identical at any setting.
-	Parallelism int
-
 	// Transfer prices kv-transfer events between a prefill pool and a
 	// decode pool. Required — and validated — as soon as any station
 	// has RolePrefill; ignored by aggregated fleets.
@@ -229,7 +225,6 @@ type Kernel struct {
 	awake    []int          // stations with pending work (see advanceAll)
 	flushBuf []RequestStats // reused Sink merge buffer
 	scratch  *Scratch       // arena to Release into, when recycling
-	workers  *stationWorkers
 
 	// Disaggregation state. pending[phead:] is the kv-transfer
 	// delivery queue, sorted by (delivery time, request ID) with the
@@ -394,10 +389,6 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 	if route == nil {
 		route = func(float64) *Station { return k.stations[0] }
 	}
-	if k.cfg.Parallelism >= 2 {
-		k.startWorkers(k.cfg.Parallelism)
-		defer k.stopWorkers()
-	}
 
 	// Arrivals at equal timestamps keep trace order: stable sort, and
 	// the delivery loop below drains every arrival at one instant
@@ -509,8 +500,8 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 // scanned (advanceAll keeps a station registered until its buffer is
 // drained). The merged batch is sorted by (finish time, request ID)
 // before delivery, making the concatenated flushes exactly the order
-// Result.Finished would have. Runs on the kernel's goroutine between
-// barriers, when stations are quiescent — correct at any Parallelism.
+// Result.Finished would have. Runs between barriers, when every due
+// station has advanced.
 func (k *Kernel) flush(barrier float64) {
 	buf := k.flushBuf[:0]
 	for _, i := range k.awake {
@@ -544,41 +535,28 @@ func (k *Kernel) flush(barrier float64) {
 }
 
 // advanceAll runs every due station's events up to (strictly before)
-// the barrier, serially or on the persistent workers. Stations touch
-// only their own state plus the immutable arrival times and the
-// engine's concurrency-safe memo tables, so the two modes are
-// byte-identical; error selection is by lowest (event time, station
-// ID), a total order that cannot depend on scheduling. Only awake
-// stations are examined: the set holds exactly the stations with a
-// pending event (nextAt ≥ 0) — plus, on streaming runs, stations
-// whose completion buffer is not yet drained — so a barrier costs
-// O(awake), and idle or retired stations are not rescanned a million
-// times.
+// the barrier, one station at a time. Stations touch only their own
+// state plus the immutable arrival times and the engine's memo
+// tables, so the order they advance in cannot change the result;
+// error selection is by lowest (event time, station ID), a total
+// order independent of it. Only awake stations are examined: the set
+// holds exactly the stations with a pending event (nextAt ≥ 0) —
+// plus, on streaming runs, stations whose completion buffer is not
+// yet drained — so a barrier costs O(awake), and idle or retired
+// stations are not rescanned a million times.
 func (k *Kernel) advanceAll(barrier float64) error {
 	stations := k.stations
-	// Fan out only the stations with due work: under dense arrivals
-	// most barriers wake one or two stations (a coalesced window ends
-	// at or after the arrival that cut it), and waking workers for
-	// idle stations would cost more than it buys. The post-trace
-	// drain (barrier = +Inf) is where every station is due at once —
-	// and where the big windows make goroutines pay.
 	k.due = k.due[:0]
 	for _, i := range k.awake {
 		if s := stations[i]; s.nextAt >= 0 && s.nextAt < barrier {
 			// In a disaggregated fleet, coalesced windows must not
 			// fast-forward past the earliest possible kv-transfer
 			// delivery; the kernel stamps the bound on each due station
-			// here (serially, before any fan-out) and step() cuts at
-			// it. -1 — always, for aggregated fleets — means no cut.
+			// here and step() cuts at it. -1 — always, for aggregated
+			// fleets — means no cut.
 			s.xferCut = k.cut
 			k.due = append(k.due, i)
-		}
-	}
-	if k.workers != nil && len(k.due) >= 2 {
-		k.workers.run(k, barrier)
-	} else {
-		for _, i := range k.due {
-			stations[i].advance(barrier, k.arrivals)
+			s.advance(barrier, k.arrivals)
 		}
 	}
 	// Drop settled stations from the awake set: idle (a streaming

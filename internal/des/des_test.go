@@ -62,30 +62,21 @@ func runKernel(t *testing.T, cfg des.Config, n int, capGiB float64, reqs []workl
 	return res
 }
 
-// modes returns the four kernel modes whose Results must be
-// byte-identical: serial and parallel, each coalesced and stepped.
+// modes returns the two kernel modes whose Results must be
+// byte-identical: coalesced and stepped.
 func modes(cfg des.Config) map[string]des.Config {
-	serial, parallel := cfg, cfg
-	serial.Parallelism = 1
-	parallel.Parallelism = 4
-	serialStepped, parallelStepped := serial, parallel
-	serialStepped.Stepped = true
-	parallelStepped.Stepped = true
-	return map[string]des.Config{
-		"serial":           serial,
-		"parallel":         parallel,
-		"serial-stepped":   serialStepped,
-		"parallel-stepped": parallelStepped,
-	}
+	stepped := cfg
+	stepped.Stepped = true
+	return map[string]des.Config{"coalesced": cfg, "stepped": stepped}
 }
 
 func assertModesIdentical(t *testing.T, name string, cfg des.Config, n int, capGiB float64, reqs []workload.Request) des.Result {
 	t.Helper()
-	ref := runKernel(t, modes(cfg)["serial"], n, capGiB, reqs)
+	ref := runKernel(t, modes(cfg)["coalesced"], n, capGiB, reqs)
 	for mode, mcfg := range modes(cfg) {
 		got := runKernel(t, mcfg, n, capGiB, reqs)
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: %s Result differs from serial coalesced reference", name, mode)
+			t.Errorf("%s: %s Result differs from coalesced reference", name, mode)
 		}
 	}
 	return ref
@@ -93,7 +84,7 @@ func assertModesIdentical(t *testing.T, name string, cfg des.Config, n int, capG
 
 // TestKernelModesIdenticalRandomized is the kernel's headline
 // property: over seeded random workloads at several load levels,
-// parallel == serial == stepped to the last bit — every timestamp,
+// coalesced == stepped to the last bit — every timestamp,
 // every aggregate, every per-station share.
 func TestKernelModesIdenticalRandomized(t *testing.T) {
 	cases := []struct {
@@ -211,7 +202,7 @@ func TestKernelSinkOrderAndModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := des.Config{MaxBatch: 6, Preemptive: true}
-	ref := runKernel(t, modes(base)["serial"], 3, 16, reqs)
+	ref := runKernel(t, modes(base)["coalesced"], 3, 16, reqs)
 	if len(ref.Finished) != len(reqs) {
 		t.Fatalf("reference completed %d/%d", len(ref.Finished), len(reqs))
 	}

@@ -95,8 +95,8 @@ type Station struct {
 	// aggregated); see NewPoolStation.
 	role Role
 	// xfers parks kv-transfers generated during the current barrier
-	// for serial kernel pickup (collectTransfers) after the join —
-	// stations never touch shared state mid-barrier.
+	// for kernel pickup (collectTransfers) once every due station has
+	// advanced — stations never touch shared state mid-barrier.
 	xfers       []transfer
 	transferred int
 	// xferCut is the current barrier's delivery bound: coalesced
@@ -256,7 +256,8 @@ func (s *Station) enqueue(q queued) {
 
 // advance runs the station's due events up to (strictly before) the
 // barrier. Everything it touches is station-local or immutable, so
-// concurrent advances of different stations are race-free.
+// the order the kernel advances due stations in cannot change the
+// result.
 func (s *Station) advance(barrier float64, arrivals []float64) {
 	for s.err == nil && s.nextAt >= 0 && s.nextAt < barrier {
 		now := s.nextAt

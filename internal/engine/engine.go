@@ -19,8 +19,9 @@
 //
 // The step-cost memo (rangecost.go) is the pricing hot path of the
 // serving kernel (internal/des), and its invariants are load-bearing
-// for both speed and the serial==parallel==stepped byte-identity
-// contract. Policy layers must not break them:
+// for both speed and the coalesced==stepped byte-identity contract
+// (concurrent sweep points share one engine). Policy layers must not
+// break them:
 //
 //   - Warm reads never lock. The memo tables live behind atomic
 //     pointers; DecodeStepCost, DecodeRangeSeconds, DecodeStepCosts,

@@ -15,8 +15,8 @@
 // evict-and-requeue on KV pressure for Continuous, batch-boundary
 // collect-and-run-to-completion for Static (des.Config.Static) —
 // while the kernel owns the event loop, the coalesced-window advance,
-// and the determinism contract — coalesced, stepped, serial, and
-// parallel runs produce byte-identical Stats. Static sharing the
+// and the determinism contract — coalesced and stepped runs produce
+// byte-identical Stats. Static sharing the
 // kernel is what lets the cluster router and autoscaler
 // (internal/cluster) drive static replicas exactly like continuous
 // ones. See the internal/des package documentation for the event

@@ -507,6 +507,30 @@ func transferCostFor(devName string, m *model.Config, d *hw.Device) (des.Transfe
 	}, nil
 }
 
+// serveTrace resolves the trace of a Serve, ServeCluster or
+// ServeAutoscale call: a recorded trace is validated and replayed
+// as is; otherwise one is synthesized from syn — bursty chat arrivals
+// (workload.ChatTrace) when burstFactor > 0, Poisson arrivals with
+// 30% length jitter otherwise.
+func serveTrace(recorded []TraceRequest, syn workload.TraceConfig, burstFactor, burstLenS float64) ([]TraceRequest, error) {
+	if len(recorded) > 0 {
+		if err := workload.ValidateTrace(recorded); err != nil {
+			return nil, fmt.Errorf("llmbench: %w", err)
+		}
+		return recorded, nil
+	}
+	if burstFactor > 0 {
+		return workload.ChatTrace(workload.ChatTraceConfig{
+			Seed: syn.Seed, Requests: syn.Requests, RatePerSec: syn.RatePerSec,
+			BurstFactor: burstFactor, BurstLenS: burstLenS,
+			InputMedian: syn.InputMean, OutputMedian: syn.OutputMean,
+			Sigma: 0.7, MaxLen: 4096,
+		})
+	}
+	syn.LengthJitter = 0.3
+	return workload.PoissonTrace(syn)
+}
+
 // Serve runs an online-serving simulation with Poisson arrivals.
 func Serve(cfg ServeConfig) (ServeStats, error) {
 	eng, err := CachedEngine(cfg.System)
@@ -521,17 +545,12 @@ func Serve(cfg ServeConfig) (ServeStats, error) {
 	if err != nil {
 		return ServeStats{}, err
 	}
-	trace := cfg.Trace
-	if len(trace) == 0 {
-		trace, err = workload.PoissonTrace(workload.TraceConfig{
-			Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
-			InputMean: cfg.InputMean, OutputMean: cfg.OutputMean, LengthJitter: 0.3,
-		})
-		if err != nil {
-			return ServeStats{}, err
-		}
-	} else if err := workload.ValidateTrace(trace); err != nil {
-		return ServeStats{}, fmt.Errorf("llmbench: %w", err)
+	trace, err := serveTrace(cfg.Trace, workload.TraceConfig{
+		Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
+		InputMean: cfg.InputMean, OutputMean: cfg.OutputMean,
+	}, 0, 0)
+	if err != nil {
+		return ServeStats{}, err
 	}
 	policy := sched.Static
 	if cfg.Continuous {
@@ -555,11 +574,6 @@ type ClusterConfig struct {
 	Static      bool
 	MaxBatch    int // per replica
 	KVBudgetGiB float64
-
-	// Parallelism ≥ 2 advances replicas on that many goroutines
-	// between arrival barriers (see internal/des); Stats are
-	// byte-identical at any setting. Values ≤ 1 run serially.
-	Parallelism int
 
 	// Trace, when non-empty, replays a recorded trace (see ReadTrace)
 	// instead of synthesizing Poisson arrivals; the synthesis
@@ -605,17 +619,12 @@ func ServeCluster(cfg ClusterConfig) (ClusterStats, error) {
 		}
 		replicas[i] = cluster.Replica{Engine: eng, Alloc: alloc}
 	}
-	trace := cfg.Trace
-	if len(trace) == 0 {
-		trace, err = workload.PoissonTrace(workload.TraceConfig{
-			Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
-			InputMean: cfg.InputMean, OutputMean: cfg.OutputMean, LengthJitter: 0.3,
-		})
-		if err != nil {
-			return ClusterStats{}, err
-		}
-	} else if err := workload.ValidateTrace(trace); err != nil {
-		return ClusterStats{}, fmt.Errorf("llmbench: %w", err)
+	trace, err := serveTrace(cfg.Trace, workload.TraceConfig{
+		Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
+		InputMean: cfg.InputMean, OutputMean: cfg.OutputMean,
+	}, 0, 0)
+	if err != nil {
+		return ClusterStats{}, err
 	}
 	policy := cluster.RoundRobin
 	if cfg.LeastLoaded {
@@ -623,7 +632,7 @@ func ServeCluster(cfg ClusterConfig) (ClusterStats, error) {
 	}
 	return cluster.Serve(cluster.Config{
 		Replicas: replicas, Policy: policy, MaxBatch: cfg.MaxBatch,
-		Static: cfg.Static, Parallelism: cfg.Parallelism, Streaming: cfg.Streaming,
+		Static: cfg.Static, Streaming: cfg.Streaming,
 	}, trace)
 }
 
@@ -647,10 +656,6 @@ type AutoscaleConfig struct {
 	UpOutstanding int
 	DownIdleS     float64
 	CooldownS     float64
-
-	// Parallelism ≥ 2 advances replicas on goroutines between
-	// arrival barriers; Stats are byte-identical at any setting.
-	Parallelism int
 
 	// Trace, when non-empty, replays a recorded trace (see ReadTrace)
 	// instead of synthesizing arrivals; the synthesis parameters below
@@ -698,30 +703,15 @@ func ServeAutoscale(cfg AutoscaleConfig) (AutoscaleStats, error) {
 		}
 		return cluster.Replica{Engine: eng, Alloc: alloc}, nil
 	}
-	trace := cfg.Trace
-	if len(trace) == 0 {
-		if cfg.BurstFactor > 0 {
-			trace, err = workload.ChatTrace(workload.ChatTraceConfig{
-				Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
-				BurstFactor: cfg.BurstFactor, BurstLenS: cfg.BurstLenS,
-				InputMedian: cfg.InputMean, OutputMedian: cfg.OutputMean,
-				Sigma: 0.7, MaxLen: 4096,
-			})
-		} else {
-			trace, err = workload.PoissonTrace(workload.TraceConfig{
-				Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
-				InputMean: cfg.InputMean, OutputMean: cfg.OutputMean, LengthJitter: 0.3,
-			})
-		}
-		if err != nil {
-			return AutoscaleStats{}, err
-		}
-	} else if err := workload.ValidateTrace(trace); err != nil {
-		return AutoscaleStats{}, fmt.Errorf("llmbench: %w", err)
+	trace, err := serveTrace(cfg.Trace, workload.TraceConfig{
+		Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
+		InputMean: cfg.InputMean, OutputMean: cfg.OutputMean,
+	}, cfg.BurstFactor, cfg.BurstLenS)
+	if err != nil {
+		return AutoscaleStats{}, err
 	}
 	return cluster.ServeAutoscale(
-		cluster.Config{MaxBatch: cfg.MaxBatch, Static: cfg.Static,
-			Parallelism: cfg.Parallelism, Streaming: cfg.Streaming},
+		cluster.Config{MaxBatch: cfg.MaxBatch, Static: cfg.Static, Streaming: cfg.Streaming},
 		cluster.Autoscale{
 			Factory:       factory,
 			Min:           cfg.MinReplicas,

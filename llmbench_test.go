@@ -2,7 +2,6 @@ package llmbench
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -172,11 +171,9 @@ func TestServeClusterFacade(t *testing.T) {
 	}
 }
 
-// TestServeClusterParallelismIdentical pins the root-level promise:
-// the Parallelism knob changes wall-clock behaviour only — the
-// returned Stats (every percentile, every per-replica share) are
-// byte-identical to the serial run.
-func TestServeClusterParallelismIdentical(t *testing.T) {
+// TestServeClusterPercentilesOrdered pins the facade's percentile
+// ordering: latency p50 ≤ p95 ≤ p99 and queue-delay p50 ≤ p99.
+func TestServeClusterPercentilesOrdered(t *testing.T) {
 	cfg := ClusterConfig{
 		System:      System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
 		Replicas:    3,
@@ -184,24 +181,16 @@ func TestServeClusterParallelismIdentical(t *testing.T) {
 		MaxBatch:    8,
 		Seed:        7, Requests: 36, RatePerSec: 8, InputMean: 256, OutputMean: 96,
 	}
-	serial, err := ServeCluster(cfg)
+	stats, err := ServeCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallelism = 4
-	parallel, err := ServeCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if stats.P50Latency <= 0 || stats.P95Latency < stats.P50Latency ||
+		stats.P99Latency < stats.P95Latency {
+		t.Errorf("latency percentiles inconsistent: %+v", stats.Stats)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("parallel ServeCluster Stats differ from serial")
-	}
-	if serial.P50Latency <= 0 || serial.P95Latency < serial.P50Latency ||
-		serial.P99Latency < serial.P95Latency {
-		t.Errorf("latency percentiles inconsistent: %+v", serial.Stats)
-	}
-	if serial.P99QueueDelay < serial.P50QueueDelay {
-		t.Errorf("queue-delay percentiles inconsistent: %+v", serial.Stats)
+	if stats.P99QueueDelay < stats.P50QueueDelay {
+		t.Errorf("queue-delay percentiles inconsistent: %+v", stats.Stats)
 	}
 }
 
@@ -211,8 +200,7 @@ func TestServeAutoscaleFacade(t *testing.T) {
 		MaxBatch:    16,
 		MinReplicas: 1, MaxReplicas: 4,
 		UpOutstanding: 8, DownIdleS: 3, CooldownS: 1,
-		Parallelism: 2,
-		Seed:        9, Requests: 120, RatePerSec: 12, InputMean: 384, OutputMean: 96,
+		Seed: 9, Requests: 120, RatePerSec: 12, InputMean: 384, OutputMean: 96,
 		BurstFactor: 5, BurstLenS: 4,
 	})
 	if err != nil {
