@@ -7,7 +7,9 @@ package dashboard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -290,7 +292,7 @@ func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 	var traceReqs []llmbench.TraceRequest
 	if tracePath != "" {
 		var err error
-		traceReqs, err = readTraceFile(tracePath, stream)
+		traceReqs, err = readTraceFile(tracePath, stream, maxTraceBytes)
 		if err != nil {
 			http.Error(w, "dashboard: "+err.Error(), http.StatusBadRequest)
 			return
@@ -546,27 +548,46 @@ func (q *query) atoiIn(key, def string, lo, hi int) int {
 	return v
 }
 
+// maxTraceBytes caps a replayed trace file.
+const maxTraceBytes = 64 << 20
+
 // readTraceFile loads a recorded llmbench-trace file from the
-// server's filesystem — the upload-less replay path. The file is
-// capped at 64 MiB, and traces beyond 100k requests must opt into
-// streaming aggregation (stream=1): the exact path would ledger and
-// sort every completion inside one HTTP request.
-func readTraceFile(path string, stream bool) ([]llmbench.TraceRequest, error) {
-	const maxTraceBytes = 64 << 20
+// server's filesystem — the upload-less replay path. Only regular
+// files are read, through a reader capped at maxBytes, and traces
+// beyond 100k requests must opt into streaming aggregation
+// (stream=1): the exact path would ledger and sort every completion
+// inside one HTTP request. Parse errors never quote the file: it is
+// the server's, not the client's.
+func readTraceFile(path string, stream bool, maxBytes int64) ([]llmbench.TraceRequest, error) {
 	const maxExactRequests = 100_000
+	// Stat before Open: opening a FIFO blocks until a writer appears,
+	// and FIFOs and devices Stat as size 0, so no size check bounds
+	// them.
+	if st, err := os.Stat(path); err != nil {
+		return nil, fmt.Errorf("trace: %v", err)
+	} else if !st.Mode().IsRegular() {
+		return nil, errors.New("trace: not a regular file")
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %v", err)
 	}
 	defer f.Close()
+	// Re-check the opened file: the path may have been swapped since.
 	if st, err := f.Stat(); err != nil {
 		return nil, fmt.Errorf("trace: %v", err)
-	} else if st.Size() > maxTraceBytes {
-		return nil, fmt.Errorf("trace file is %d bytes (max %d)", st.Size(), int64(maxTraceBytes))
+	} else if !st.Mode().IsRegular() {
+		return nil, errors.New("trace: not a regular file")
 	}
-	reqs, _, err := llmbench.ReadTrace(f)
+	// The cap counts the bytes read, not Stat's size, which a growing
+	// file outruns and some special files report as 0.
+	lr := &io.LimitedReader{R: f, N: maxBytes + 1}
+	reqs, _, err := llmbench.ReadTrace(lr)
+	if lr.N == 0 {
+		return nil, fmt.Errorf("trace: file exceeds %d bytes", maxBytes)
+	}
 	if err != nil {
-		return nil, err
+		return nil, errors.New("trace: not a valid llmbench-trace file")
 	}
 	if len(reqs) > maxExactRequests && !stream {
 		return nil, fmt.Errorf("trace has %d requests; pass stream=1 to replay more than %d",

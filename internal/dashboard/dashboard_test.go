@@ -378,3 +378,88 @@ func TestRunEndpointTableAndErrors(t *testing.T) {
 		t.Error("unknown experiment must 404")
 	}
 }
+
+// writeTestTrace records a small valid trace at path and returns its
+// size in bytes.
+func writeTestTrace(t *testing.T, path string) int64 {
+	t.Helper()
+	reqs, err := llmbench.ServePointTrace(llmbench.ServeSweepConfig{
+		System:   llmbench.System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
+		MaxBatch: 8, Seed: 11, Requests: 40, InputMean: 256, OutputMean: 64,
+	}, llmbench.ServeGrid{Rates: []float64{8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := llmbench.WriteTrace(f, reqs, llmbench.TraceMeta{Source: "dashboard test"}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+// TestReadTraceFileRejectsNonRegular: a directory (like a FIFO or a
+// device) is refused before it is opened or read.
+func TestReadTraceFileRejectsNonRegular(t *testing.T) {
+	if _, err := readTraceFile(t.TempDir(), false, maxTraceBytes); err == nil || !strings.Contains(err.Error(), "not a regular file") {
+		t.Errorf("directory: got %v, want a not-a-regular-file error", err)
+	}
+}
+
+// TestReadTraceFileByteCap: the cap counts bytes actually read, so a
+// file one byte over it fails and one exactly at it parses.
+func TestReadTraceFileByteCap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "day.trace")
+	size := writeTestTrace(t, path)
+	if _, err := readTraceFile(path, false, size); err != nil {
+		t.Errorf("cap == size: %v", err)
+	}
+	if _, err := readTraceFile(path, false, size-1); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("cap == size-1: got %v, want an exceeds-cap error", err)
+	}
+}
+
+// TestServeSweepTraceErrorsQuoteNothing: a file that is not a trace —
+// or a trace with a corrupt row — is a 400 whose body quotes none of
+// the file's content.
+func TestServeSweepTraceErrorsQuoteNothing(t *testing.T) {
+	srv := httptest.NewServer(Handler(2))
+	defer srv.Close()
+	const secret = "root:x:0:0:secret-marker"
+	dir := t.TempDir()
+	passwd := filepath.Join(dir, "passwd")
+	if err := os.WriteFile(passwd, []byte(secret+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := filepath.Join(dir, "corrupt.trace")
+	writeTestTrace(t, corrupt)
+	f, err := os.OpenFile(corrupt, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(secret + ",1,2\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, path := range []string{passwd, corrupt} {
+		res, err := http.Get(srv.URL + "/api/servesweep?model=Mistral-7B&device=A100&framework=vLLM&trace=" + url.QueryEscape(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", filepath.Base(path), res.StatusCode)
+		}
+		if strings.Contains(string(body), "secret-marker") {
+			t.Errorf("%s: error body leaks file content: %s", filepath.Base(path), body)
+		}
+	}
+}

@@ -156,3 +156,47 @@ func TestStationStepDecodeSteadyStateAllocs(t *testing.T) {
 		t.Errorf("decode steady-state station cycle allocates %.1f times, want 0", avg)
 	}
 }
+
+// TestStationOpenWindowSteadyStateAllocs gates the open-window
+// continuation path: a dense array of foreign arrivals (routed to
+// other stations, so this station's queue stays empty) cuts every
+// coalesced window many times, and the kernel's barrier loop resumes
+// it at each cut. stationCycle passes no arrivals, so its windows are
+// never cut and never continue.
+func TestStationOpenWindowSteadyStateAllocs(t *testing.T) {
+	s := allocTestStation(t, Config{MaxBatch: 8, Preemptive: true}, 16)
+	reqs := allocTestReqs(8)
+	arrivals := make([]float64, 2048)
+	for i := range arrivals {
+		arrivals[i] = float64(i+1) * 0.025
+	}
+	held := 0 // barriers crossed with a window open mid-way
+	cycle := func() {
+		for _, r := range reqs {
+			s.enqueue(queued{req: r})
+		}
+		s.nextAt, s.arrCur = 0, 0
+		for _, a := range arrivals {
+			s.advance(a, arrivals)
+			if s.win.k > 0 && s.win.k < s.win.kMax {
+				held++
+			}
+		}
+		s.advance(math.Inf(1), arrivals)
+		if s.err != nil {
+			t.Fatal(s.err)
+		}
+		if s.queueLen() != 0 || len(s.run) != 0 {
+			t.Fatal("cycle did not drain the station")
+		}
+		s.finished = s.finished[:0]
+		s.finHead = 0
+	}
+	cycle()
+	if held == 0 {
+		t.Fatal("no window stayed open across a foreign arrival; the gate would be vacuous")
+	}
+	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+		t.Errorf("open-window steady-state station cycle allocates %.1f times, want 0", avg)
+	}
+}

@@ -17,13 +17,14 @@
 //     or retire stations.
 //   - window-exhausted: a station's next scheduler iteration is due —
 //     either a single stepped iteration (Config.Stepped) or a
-//     coalesced fast-forward over every identical decode iteration up
-//     to the next state change (CoalesceWindow). Coalescing is the
-//     kernel's only stepping primitive; Stepped is a kernel mode that
-//     caps every window at one iteration. Static stations
-//     (Config.Static) degenerate to one window per batch: admission
-//     happens only at batch boundaries, so the whole run-to-completion
-//     is one event that no arrival can cut.
+//     coalesced fast-forward over identical decode iterations up to
+//     the next state change or cut (CoalesceWindow; a window cut by a
+//     delivery for another station stays open, see Barriers).
+//     Coalescing is the kernel's only stepping primitive; Stepped is a
+//     kernel mode that caps every window at one iteration. Static
+//     stations (Config.Static) degenerate to one window per batch:
+//     admission happens only at batch boundaries, so the whole
+//     run-to-completion is one event that no arrival can cut.
 //   - completion: requests finishing inside a window; recorded in the
 //     completion ledger at the window's end time and merged into
 //     Result.Finished.
@@ -67,6 +68,21 @@
 // barrier time, the order stations advance in cannot matter — the
 // property tests assert coalesced == Stepped to the last bit.
 //
+// A station's coalesced window stays open across arrivals routed to
+// other stations: the event at each cut only prices further steps,
+// and the steps are applied to the running set (generated counts,
+// allocator Extends, completions) when the window closes — at its
+// bound, or at the first event that finds the station's queue
+// non-empty. So a router or ScaleTick handler reading a station
+// mid-window sees the state as of the window's opening. That is
+// exact for every read that changes only at admission or completion —
+// Outstanding, PendingPrefillTokens (always 0 while a window is open),
+// the allocator's HotPrefixTokens and RestorablePrefixTokens, and the
+// autoscaler's retire check — because neither happens inside a
+// window. A policy that read per-sequence allocator state (used
+// blocks, UsedBytes) would see the deferred extends missing, and must
+// not be built on this kernel without closing windows first.
+//
 // Disaggregated fleets add a second interaction channel: kv-transfer
 // deliveries, whose instants are not in the trace. Advancing each due
 // station all the way to the barrier before the next one starts means
@@ -101,6 +117,14 @@
 //     sub-request draws a fresh record from the decode station's
 //     slab. A policy layer must never thread a record across the
 //     pool boundary.
+//   - A coalesced window costs O(batch) once, when it opens (the
+//     sequence scan and the MaxExtendSteps probe), and once more when
+//     it closes (one Extend per sequence); every cut in between — an
+//     arrival routed to another station, or a transfer bound — costs
+//     only the pricing of the steps it spans. On an n-station fleet
+//     about n−1 of every n arrivals are foreign to a given station,
+//     so window work scales with the station's own arrivals, not the
+//     fleet's.
 //   - Each station keeps a monotone cursor into the sorted arrival
 //     array (Station.nextArrival). The cursor relies on station event
 //     times never decreasing: events only move the clock forward and

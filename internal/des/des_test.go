@@ -16,7 +16,7 @@ import (
 	"llmbench/internal/workload"
 )
 
-func testEngine(t *testing.T) *engine.Engine {
+func testEngine(t testing.TB) *engine.Engine {
 	t.Helper()
 	e, err := engine.New(engine.Config{
 		Model:     model.MustGet("LLaMA-3-8B"),
@@ -29,7 +29,7 @@ func testEngine(t *testing.T) *engine.Engine {
 	return e
 }
 
-func testAlloc(t *testing.T, capGiB float64) kvcache.Allocator {
+func testAlloc(t testing.TB, capGiB float64) kvcache.Allocator {
 	t.Helper()
 	m := model.MustGet("LLaMA-3-8B")
 	a, err := kvcache.NewPaged(16, m.KVBytesPerToken(dtype.FP16), capGiB*(1<<30))

@@ -68,28 +68,35 @@ func (p *pricer) step(eng *engine.Engine, batch, ctx int) (float64, error) {
 	return c.Seconds, nil
 }
 
-// coalesce bounds and prices one coalesced run of identical decode
-// iterations; see CoalesceWindow for the contract.
-func (p *pricer) coalesce(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
-	batch, ctx0, kMax int, now, nextArrival float64) ([]float64, error) {
+// windowBound applies the allocator's headroom to kMax, the completion
+// bound of a window over seqs: the KV pool may run dry inside the
+// window, in which case the window fast-forwards to the last iteration
+// that fits and the reference path takes the preemption (or OOM) at
+// the boundary. A result below 2 admits no window.
+func windowBound(alloc kvcache.Allocator, seqs []kvcache.Seq, kMax int) int {
 	if kMax > 1 {
 		if k := alloc.MaxExtendSteps(seqs, kMax); k < kMax {
-			// The KV pool runs dry inside the window: fast-forward to
-			// the last iteration that fits, then let the reference
-			// path take the preemption (or OOM) at the boundary.
 			kMax = k
 		}
 	}
-	if kMax < 2 {
-		return nil, nil
-	}
+	return kMax
+}
+
+// run resumes pricing the window anchored at (batch, ctx0) whose
+// first taken steps are already priced: starting at time now, it
+// prices steps taken, taken+1, … and stops after the step that
+// reaches kMax or whose end reaches cut (cut < 0: no cut). Entry i of
+// the result is the cost of step taken+i; see CoalesceWindow for the
+// summation contract.
+func (p *pricer) run(eng *engine.Engine, batch, ctx0, taken, kMax int, now, cut float64) ([]float64, error) {
+	first := taken
 	end := now
 	var costs []float64
-	for taken := 0; taken < kMax; {
+	for taken < kMax {
 		n := kMax - taken
-		if nextArrival >= 0 {
-			// An arrival will cut the window; pricing all kMax steps
-			// up front would waste memo walks on steps never reached
+		if cut >= 0 {
+			// The cut will end the run; pricing all remaining steps up
+			// front would waste memo walks on steps never reached
 			// (quadratic under dense arrivals). Estimate the cut from
 			// the next step's cost — plus slack for cost drift — and
 			// let the outer loop continue if the estimate fell short.
@@ -98,7 +105,7 @@ func (p *pricer) coalesce(eng *engine.Engine, alloc kvcache.Allocator, seqs []kv
 				return nil, err
 			}
 			if c0 > 0 {
-				if est := int((nextArrival-end)/c0) + 2; est < n {
+				if est := int((cut-end)/c0) + 2; est < n {
 					n = est
 				}
 			}
@@ -113,16 +120,16 @@ func (p *pricer) coalesce(eng *engine.Engine, alloc kvcache.Allocator, seqs []kv
 		}
 		for i := taken; i < taken+n; i++ {
 			end += costs[i]
-			if nextArrival >= 0 && end >= nextArrival {
-				// A request lands inside the window: it is admitted
-				// at the first iteration boundary at or after its
-				// arrival, so this step is the window's last.
-				return costs[:i+1], nil
+			if cut >= 0 && end >= cut {
+				// A delivery lands inside the run: it is admitted (or
+				// routed) at the first iteration boundary at or after
+				// its instant, so this step is the run's last.
+				return costs[first : i+1], nil
 			}
 		}
 		taken += n
 	}
-	return costs[:kMax], nil
+	return costs[first:kMax], nil
 }
 
 // CoalesceWindow bounds and prices one coalesced run of identical
@@ -140,11 +147,16 @@ func (p *pricer) coalesce(eng *engine.Engine, alloc kvcache.Allocator, seqs []kv
 // by adding the returned costs one at a time, in order — that keeps
 // coalesced time byte-identical to stepped time.
 //
-// Stations route this through their cached pricing handle; the
-// standalone form prices through a throwaway handle and is retained
-// for the policy layers and the equivalence tests.
+// Stations keep their window open across cuts instead (Station.win):
+// they bound once and resume pricing at every cut, which sums the same
+// costs in the same order. The standalone form prices through a
+// throwaway handle; tests use it to place events on window
+// boundaries.
 func CoalesceWindow(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
 	batch, ctx0, kMax int, now, nextArrival float64) ([]float64, error) {
+	if kMax = windowBound(alloc, seqs, kMax); kMax < 2 {
+		return nil, nil
+	}
 	var p pricer
-	return p.coalesce(eng, alloc, seqs, batch, ctx0, kMax, now, nextArrival)
+	return p.run(eng, batch, ctx0, 0, kMax, now, nextArrival)
 }

@@ -78,6 +78,10 @@ type Station struct {
 	// searching the full trace at every window event.
 	arrCur int
 
+	// win is the open coalesced window, if any (win.kMax > 0); see
+	// step.
+	win openWindow
+
 	seqs     []kvcache.Seq // reused sequence-handle buffer
 	decoding []*runReq     // reused chunked-mode partition buffer
 	admitted []*runReq     // reused admission / static-batch buffer
@@ -131,6 +135,16 @@ type runReq struct {
 	prefillSkip    int // prompt tokens served from the prefix cache
 	stats          RequestStats
 }
+
+// openWindow is a coalesced decode window that stays open across
+// cuts: k steps of the running set are priced — added to the clock,
+// busy and maxIter — but not yet applied to the sequences, out of a
+// verified bound kMax (completion and KV headroom), anchored at the
+// running set's mean context ctx0. The batch is len(s.run), which
+// cannot change while the window is open: only admission or a
+// completion changes it, admission closes the window first, and
+// completions land only at kMax. The zero value is a closed window.
+type openWindow struct{ k, kMax, ctx0 int }
 
 // reqSlabLen is how many records one slab allocation provides while
 // the free list warms up.
@@ -190,6 +204,7 @@ func (s *Station) reset() {
 	s.awake = false
 	s.arrCur = 0
 	s.pricer = pricer{}
+	s.win = openWindow{}
 	s.role = RoleBoth
 	s.xfers = s.xfers[:0]
 	s.transferred = 0
@@ -263,7 +278,7 @@ func (s *Station) advance(barrier float64, arrivals []float64) {
 		now := s.nextAt
 		// The coalescing cut is the earlier of the next trace arrival
 		// and the barrier's kv-transfer delivery bound (xferCut, -1 on
-		// aggregated fleets): a window may not fast-forward across
+		// aggregated fleets): an event may not price a window across
 		// either kind of delivery.
 		na := s.nextArrival(arrivals, now)
 		if s.xferCut >= 0 && (na < 0 || s.xferCut < na) {
@@ -314,16 +329,32 @@ func (s *Station) nextArrival(arrivals []float64, now float64) float64 {
 }
 
 // step runs one window-exhausted event at time now: admission from
-// the queue head, then either a coalesced fast-forward over every
-// identical decode iteration up to the next state change or a single
-// reference iteration. It returns the event's end time (== now when
-// the station stays idle).
-func (s *Station) step(now, nextArrival float64) (float64, error) {
+// the queue head, then either a coalesced fast-forward over identical
+// decode iterations up to the next cut or a single reference
+// iteration. It returns the event's end time (== now when the station
+// stays idle).
+//
+// A coalesced window outlives the cut that ends an event (the next
+// trace arrival, which usually routes elsewhere, or xferCut): while
+// the queue stays empty, the next event only resumes pricing it
+// (continueWindow) and touches no sequence. An event that finds the
+// queue non-empty — a request was routed here, or a blocked head
+// waits — first applies the priced steps at now, then takes the
+// admission path exactly as if every cut had been a window boundary.
+func (s *Station) step(now, cut float64) (float64, error) {
 	if s.cfg.Static {
 		return s.stepStatic(now)
 	}
 	if s.role == RolePrefill {
 		return s.stepPrefill(now)
+	}
+	if s.win.kMax > 0 {
+		if s.queueLen() == 0 {
+			return s.continueWindow(now, cut)
+		}
+		if err := s.closeWindow(now); err != nil {
+			return 0, err
+		}
 	}
 	// Admit from the head of the queue while batch slots and KV
 	// capacity remain. Admission is FIFO: a blocked head blocks
@@ -452,11 +483,9 @@ func (s *Station) step(now, nextArrival float64) (float64, error) {
 	// established — generated ≥ 2, so its reservation already equals
 	// Input+generated and each step extends it by exactly one token,
 	// the trajectory MaxExtendSteps prices. A fresh request runs its
-	// first iteration stepped. Admission cannot unblock mid-window
-	// (free blocks only shrink and the running set only shrinks at
-	// completions, which bound the window), so an already-arrived but
-	// blocked queue head does not cut the window — only a future
-	// arrival does, because it may change a routing decision.
+	// first iteration stepped. Opening the window is the only O(batch)
+	// pass: it fixes the bound once, and continueWindow prices it
+	// across every cut from there.
 	if !s.cfg.Stepped && prefilling == nil && len(admitted) == 0 {
 		kMax := s.run[0].req.Output - s.run[0].generated
 		ctxSum := 0
@@ -472,54 +501,9 @@ func (s *Station) step(now, nextArrival float64) (float64, error) {
 			ctxSum += r.req.Input + r.generated
 			s.seqs = append(s.seqs, r.seq)
 		}
-		if kMax > 0 {
-			window, err := s.pricer.coalesce(s.Engine, s.Alloc, s.seqs,
-				len(s.run), ctxSum/len(s.run), kMax, now, nextArrival)
-			if err != nil {
-				return 0, err
-			}
-			if k := len(window); k > 0 {
-				end := now
-				for _, c := range window {
-					if c > s.maxIter {
-						s.maxIter = c
-					}
-					end += c
-					s.busy += c
-				}
-				// One batched Extend to each final context: headroom
-				// was verified for the whole window, so none of these
-				// can OOM, and the allocator lands in the same state
-				// as k single-token extends.
-				next := s.run[:0]
-				for _, r := range s.run {
-					r.generated += k
-					if s.cfg.Preemptive {
-						// Preemptive bookkeeping extends before the
-						// completion check, exactly as its stepped
-						// path does: the completing step still grows
-						// the reservation.
-						if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-							return 0, err
-						}
-						if r.generated >= r.req.Output {
-							s.finish(r, end)
-							continue
-						}
-					} else {
-						if r.generated >= r.req.Output {
-							s.finish(r, end)
-							continue
-						}
-						if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-							return 0, err
-						}
-					}
-					next = append(next, r)
-				}
-				s.run = next
-				return end, nil
-			}
+		if kMax = windowBound(s.Alloc, s.seqs, kMax); kMax >= 2 {
+			s.win = openWindow{kMax: kMax, ctx0: ctxSum / len(s.run)}
+			return s.continueWindow(now, cut)
 		}
 	}
 	// One reference iteration.
@@ -603,6 +587,72 @@ func (s *Station) step(now, nextArrival float64) (float64, error) {
 	}
 	s.run = next
 	return end, nil
+}
+
+// continueWindow prices the open window from its next unpriced step
+// up to the cut (or its bound), starting at now. The costs are added
+// in step order, so the clock, busy and maxIter come out exactly as
+// stepped iterations would leave them. Reaching the bound closes the
+// window at its end, completions included.
+func (s *Station) continueWindow(now, cut float64) (float64, error) {
+	costs, err := s.pricer.run(s.Engine, len(s.run), s.win.ctx0, s.win.k, s.win.kMax, now, cut)
+	if err != nil {
+		return 0, err
+	}
+	end := now
+	for _, c := range costs {
+		if c > s.maxIter {
+			s.maxIter = c
+		}
+		end += c
+		s.busy += c
+	}
+	s.win.k += len(costs)
+	if s.win.k == s.win.kMax {
+		if err := s.closeWindow(end); err != nil {
+			return 0, err
+		}
+	}
+	return end, nil
+}
+
+// closeWindow applies the open window's priced steps to the running
+// set at time end and closes it: one batched Extend per sequence to
+// its final context — headroom was verified for the whole bound, so
+// none can OOM, and the allocator lands in the same state as k
+// single-token extends — and completions at end. Completions occur
+// only when the window reached its bound; a window closed early by a
+// queued request has k < kMax, short of every member's last token.
+func (s *Station) closeWindow(end float64) error {
+	k := s.win.k
+	s.win = openWindow{}
+	next := s.run[:0]
+	for _, r := range s.run {
+		r.generated += k
+		if s.cfg.Preemptive {
+			// Preemptive bookkeeping extends before the completion
+			// check, exactly as its stepped path does: the completing
+			// step still grows the reservation.
+			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
+				return err
+			}
+			if r.generated >= r.req.Output {
+				s.finish(r, end)
+				continue
+			}
+		} else {
+			if r.generated >= r.req.Output {
+				s.finish(r, end)
+				continue
+			}
+			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
+				return err
+			}
+		}
+		next = append(next, r)
+	}
+	s.run = next
+	return nil
 }
 
 // phaseName names a queued entry's phase for error messages.
