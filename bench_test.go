@@ -78,7 +78,7 @@ func BenchmarkTab1Models(b *testing.B)                 { benchExperiment(b, "tab
 func BenchmarkTab2Hardware(b *testing.B)               { benchExperiment(b, "tab2") }
 func BenchmarkTab3Frameworks(b *testing.B)             { benchExperiment(b, "tab3") }
 
-// Extension experiments (ablations and future-work items; DESIGN.md §4).
+// Extension experiments (ablations and future-work items; see ROADMAP.md).
 func BenchmarkExt1AllDevicePower(b *testing.B)    { benchExperiment(b, "ext1") }
 func BenchmarkExt2SpecDecGamma(b *testing.B)      { benchExperiment(b, "ext2") }
 func BenchmarkExt3PagedVsMonolithic(b *testing.B) { benchExperiment(b, "ext3") }
@@ -173,19 +173,20 @@ func BenchmarkContinuousServing(b *testing.B) {
 	}
 }
 
+// BenchmarkPerplexityEvaluation times what one Fig. 10 scatter pays:
+// build the standard corpus and evaluate every scatter model on it.
 func BenchmarkPerplexityEvaluation(b *testing.B) {
-	ev, err := perplexity.NewEvaluator()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the corpus; benchmark a fresh capacity each iteration by
-	// alternating models.
 	names := perplexity.ScatterModels()
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.ModelPerplexity(names[i%len(names)]); err != nil {
+		ev, err := perplexity.NewEvaluator()
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, name := range names {
+			if _, err := ev.ModelPerplexity(name); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

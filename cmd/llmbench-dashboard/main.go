@@ -5,11 +5,13 @@
 //
 // Usage:
 //
-//	llmbench-dashboard [-addr :8080] [-j N]
+//	llmbench-dashboard [-addr localhost:8080] [-j N]
 //
-// -j bounds the worker pool interactive regeneration fans out on
-// (custom sweeps, /api/run?id=all); values below 1 mean every core.
-// A single serving simulation (/api/serve) runs on one core.
+// -addr defaults to the loopback interface; pass e.g. -addr :8080 to
+// listen on every interface. -j bounds the worker pool interactive
+// regeneration fans out on (custom sweeps, /api/run?id=all); values
+// below 1 mean every core. A single serving simulation (/api/serve)
+// runs on one core.
 package main
 
 import (
@@ -18,12 +20,13 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"llmbench/internal/dashboard"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
+	addr := flag.String("addr", "localhost:8080", "listen address (host:port; an empty host listens on every interface)")
 	parallelism := flag.Int("j", 0, "regeneration workers (<1 = all cores)")
 	flag.Parse()
 	url := *addr
@@ -31,8 +34,25 @@ func main() {
 		url = "localhost" + url
 	}
 	fmt.Printf("LLM-Inference-Bench dashboard on http://%s\n", url)
-	if err := http.ListenAndServe(*addr, dashboard.Handler(*parallelism)); err != nil {
+	if err := newServer(*addr, dashboard.Handler(*parallelism)).ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "llmbench-dashboard:", err)
 		os.Exit(1)
+	}
+}
+
+// newServer wraps h in a server whose timeouts bound what a slow or
+// idle client can hold open. Every dashboard request is a GET without
+// a body, so reading one is quick. There is no WriteTimeout: the
+// largest bounded /api/servesweep request (64 grid points replaying a
+// 64 MiB trace with stream=1, millions of requests per point) runs for
+// minutes, and a write deadline shorter than that would drop the
+// response after the work is done.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 }

@@ -2,17 +2,31 @@
 // perplexity-vs-throughput scatters (Fig. 10 and Fig. 29, evaluated on
 // LongBench in the paper).
 //
-// Substitution (documented in DESIGN.md): the paper evaluates real
-// model weights on a real dataset; neither is available here, and a
-// model's language quality is not derivable from its architecture
-// alone (it depends on training data). We therefore build a *real*
-// evaluation pipeline — a synthetic LongBench-like corpus, an
-// interpolated n-gram language model, a held-out cross-entropy
-// measurement — and map each LLM to an n-gram capacity calibrated so
-// the resulting perplexities land where the paper reports them
-// (LLaMA-2-7B best at ~3.0, Mistral-7B +0.09, OPT/Bloom worst near 5).
-// The pipeline exercises the same code path a real evaluation would:
-// tokenize → score → exp(mean NLL).
+// Substitution: the paper evaluates real model weights on a real
+// dataset; neither is available here, and a model's language quality
+// is not derivable from its architecture alone (it depends on training
+// data). We therefore build a *real* evaluation pipeline — a synthetic
+// LongBench-like corpus, an interpolated n-gram language model, a
+// held-out cross-entropy measurement — and map each LLM to an n-gram
+// capacity calibrated so the resulting perplexities land where the
+// paper reports them (LLaMA-2-7B best at ~3.0, Mistral-7B +0.09,
+// OPT/Bloom worst near 5). The pipeline exercises the same code path a
+// real evaluation would: tokenize → score → exp(mean NLL).
+//
+// # Shared counts
+//
+// Capacity only weights the interpolation; the n-gram counts depend on
+// the corpus alone. A corpus is therefore counted once, into dense
+// token-indexed tables (unigram [V], bigram [V·V], trigram [V·V·V])
+// with every context's total precomputed, and each Model is a capacity
+// over those shared counts: an Evaluator counts its corpus at
+// construction and each ModelPerplexity is one pass over the held-out
+// split, with no retraining and no per-lookup re-summing. The dense
+// layout bounds the vocabulary (128 tokens, a 16 MiB trigram table)
+// and requires every token to index it, so out-of-range tokens are
+// rejected with ErrTokenRange. Counts are small integers, exact in
+// float64, so the probabilities are bit-identical to a map-of-maps
+// model over the same corpus; the tests keep that model as an oracle.
 package perplexity
 
 import (
@@ -33,10 +47,14 @@ type Corpus struct {
 
 // GenerateCorpus synthesizes a corpus from a hidden Zipfian trigram
 // source, deterministic in the seed. The source's entropy sets the
-// floor perplexity a perfect trigram model can reach.
+// floor perplexity a perfect trigram model can reach. The vocabulary
+// must lie in [8, 128].
 func GenerateCorpus(seed uint64, vocab, trainLen, testLen int) (*Corpus, error) {
 	if vocab < 8 || trainLen < 1000 || testLen < 100 {
 		return nil, errors.New("perplexity: corpus too small")
+	}
+	if vocab > maxVocab {
+		return nil, fmt.Errorf("perplexity: vocab %d above %d", vocab, maxVocab)
 	}
 	rng := trace.NewRNG(seed)
 
@@ -79,70 +97,113 @@ func GenerateCorpus(seed uint64, vocab, trainLen, testLen int) (*Corpus, error) 
 	return &Corpus{Vocab: vocab, Train: gen(trainLen), Test: gen(testLen)}, nil
 }
 
+// maxVocab bounds the vocabulary the dense count tables accept: the
+// trigram table holds vocab³ float64 counts, 16 MiB at 128 tokens
+// (the benchmark corpus uses 64, a 2 MiB table).
+const maxVocab = 128
+
+// ErrTokenRange reports a corpus token outside [0, Vocab): the count
+// tables are indexed by token, so such a token cannot be scored.
+var ErrTokenRange = errors.New("perplexity: token out of vocabulary range")
+
+// checkTokens returns ErrTokenRange for the first token of split
+// outside [0, vocab).
+func checkTokens(split string, toks []int, vocab int) error {
+	for i, tok := range toks {
+		if tok < 0 || tok >= vocab {
+			return fmt.Errorf("%w: %s token %d at %d outside [0, %d)", ErrTokenRange, split, tok, i, vocab)
+		}
+	}
+	return nil
+}
+
+// counts are a corpus's n-gram counts in dense token-indexed tables,
+// with each context's total precomputed. They do not depend on a
+// model's capacity, so one counts value serves every model trained on
+// its corpus. Counts are integers held exactly in float64, so totals
+// are exact whatever order they are summed in.
+type counts struct {
+	vocab    int
+	uni      []float64 // [tok]
+	uniTotal float64
+	bi       []float64 // [prev1·V + tok]
+	biTotal  []float64 // [prev1]
+	tri      []float64 // [(prev2·V + prev1)·V + tok]
+	triTotal []float64 // [prev2·V + prev1]
+}
+
+// newCounts validates c (non-empty train split, vocab ≤ maxVocab,
+// every train and test token in range) and counts its train split.
+func newCounts(c *Corpus) (*counts, error) {
+	if c == nil || len(c.Train) < 3 {
+		return nil, errors.New("perplexity: empty corpus")
+	}
+	if c.Vocab > maxVocab {
+		return nil, fmt.Errorf("perplexity: vocab %d above %d", c.Vocab, maxVocab)
+	}
+	if err := checkTokens("train", c.Train, c.Vocab); err != nil {
+		return nil, err
+	}
+	if err := checkTokens("test", c.Test, c.Vocab); err != nil {
+		return nil, err
+	}
+	v := c.Vocab
+	k := &counts{
+		vocab:    v,
+		uni:      make([]float64, v),
+		bi:       make([]float64, v*v),
+		biTotal:  make([]float64, v),
+		tri:      make([]float64, v*v*v),
+		triTotal: make([]float64, v*v),
+	}
+	t := c.Train
+	for i, tok := range t {
+		k.uni[tok]++
+		if i >= 1 {
+			k.bi[t[i-1]*v+tok]++
+			k.biTotal[t[i-1]]++
+		}
+		if i >= 2 {
+			ctx := t[i-2]*v + t[i-1]
+			k.tri[ctx*v+tok]++
+			k.triTotal[ctx]++
+		}
+	}
+	k.uniTotal = float64(len(t))
+	return k, nil
+}
+
 // Model is an interpolated n-gram language model. Capacity ∈ (0, 1]
 // controls how much of the higher-order statistics the model absorbs —
 // the stand-in for parameter count and training quality.
 type Model struct {
 	Capacity float64
-	vocab    int
-	uni      map[int]float64
-	bi       map[int]map[int]float64    // prev1 -> next -> count
-	tri      map[[2]int]map[int]float64 // (prev2, prev1) -> next -> count
-	uniTotal float64
+	counts   *counts
 }
 
-// Train fits the n-gram tables on the corpus.
+// Train fits the n-gram tables on the corpus. Every train and test
+// token must lie in [0, c.Vocab) (ErrTokenRange otherwise), and the
+// vocabulary may not exceed 128 tokens.
 func Train(c *Corpus, capacity float64) (*Model, error) {
-	if c == nil || len(c.Train) < 3 {
-		return nil, errors.New("perplexity: empty corpus")
-	}
 	if capacity <= 0 || capacity > 1 {
 		return nil, fmt.Errorf("perplexity: capacity %v out of (0,1]", capacity)
 	}
-	m := &Model{
-		Capacity: capacity,
-		vocab:    c.Vocab,
-		uni:      make(map[int]float64),
-		bi:       make(map[int]map[int]float64),
-		tri:      make(map[[2]int]map[int]float64),
+	k, err := newCounts(c)
+	if err != nil {
+		return nil, err
 	}
-	t := c.Train
-	for i, tok := range t {
-		m.uni[tok]++
-		m.uniTotal++
-		if i >= 1 {
-			if m.bi[t[i-1]] == nil {
-				m.bi[t[i-1]] = make(map[int]float64)
-			}
-			m.bi[t[i-1]][tok]++
-		}
-		if i >= 2 {
-			key := [2]int{t[i-2], t[i-1]}
-			if m.tri[key] == nil {
-				m.tri[key] = make(map[int]float64)
-			}
-			m.tri[key][tok]++
-		}
-	}
-	return m, nil
-}
-
-func dist(counts map[int]float64, tok int) (p, total float64, ok bool) {
-	if counts == nil {
-		return 0, 0, false
-	}
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0, 0, false
-	}
-	return counts[tok] / total, total, true
+	return &Model{Capacity: capacity, counts: k}, nil
 }
 
 // Prob returns the interpolated probability of tok after context
-// (prev2, prev1).
+// (prev2, prev1). All three tokens must lie in the training corpus's
+// [0, Vocab); Prob panics otherwise.
 func (m *Model) Prob(prev2, prev1, tok int) float64 {
+	k := m.counts
+	v := k.vocab
+	if uint(prev2) >= uint(v) || uint(prev1) >= uint(v) || uint(tok) >= uint(v) {
+		panic(fmt.Sprintf("perplexity: Prob(%d, %d, %d) outside vocab [0, %d)", prev2, prev1, tok, v))
+	}
 	c := m.Capacity
 	// Interpolation weights: capacity feeds the high orders. Even the
 	// weakest model keeps a substantial trigram share — all the
@@ -158,7 +219,9 @@ func (m *Model) Prob(prev2, prev1, tok int) float64 {
 	// lower orders. This keeps high-capacity models from overfitting
 	// sparse trigram counts.
 	var p float64
-	if p3, n, ok := dist(m.tri[[2]int{prev2, prev1}], tok); ok {
+	ctx := prev2*v + prev1
+	if n := k.triTotal[ctx]; n != 0 {
+		p3 := k.tri[ctx*v+tok] / n
 		conf := n / (n + 2)
 		p += l3 * conf * p3
 		backoff := l3 * (1 - conf)
@@ -168,7 +231,8 @@ func (m *Model) Prob(prev2, prev1, tok int) float64 {
 		l1 += l3 * 0.9
 		l0 += l3 * 0.1
 	}
-	if p2, n, ok := dist(m.bi[prev1], tok); ok {
+	if n := k.biTotal[prev1]; n != 0 {
+		p2 := k.bi[prev1*v+tok] / n
 		conf := n / (n + 2)
 		p += l2 * conf * p2
 		backoff := l2 * (1 - conf)
@@ -178,15 +242,20 @@ func (m *Model) Prob(prev2, prev1, tok int) float64 {
 		l1 += l2 * 0.9
 		l0 += l2 * 0.1
 	}
-	p += l1 * (m.uni[tok] / m.uniTotal)
-	p += l0 / float64(m.vocab)
+	p += l1 * (k.uni[tok] / k.uniTotal)
+	p += l0 / float64(v)
 	return p
 }
 
-// Perplexity evaluates exp(mean NLL) on the corpus's held-out split.
+// Perplexity evaluates exp(mean NLL) on the corpus's held-out split,
+// whose tokens must lie in the training vocabulary (ErrTokenRange
+// otherwise).
 func (m *Model) Perplexity(c *Corpus) (float64, error) {
 	if len(c.Test) < 3 {
 		return 0, errors.New("perplexity: test split too small")
+	}
+	if err := checkTokens("test", c.Test, m.counts.vocab); err != nil {
+		return 0, err
 	}
 	var nll float64
 	n := 0
@@ -241,10 +310,12 @@ func ScatterModels() []string {
 	return names
 }
 
-// Evaluator bundles a shared corpus with per-model evaluation.
+// Evaluator scores models on one shared corpus. The corpus is counted
+// once, so each model costs one held-out evaluation; an Evaluator is
+// read-only after construction and safe for concurrent use.
 type Evaluator struct {
 	corpus *Corpus
-	cache  map[float64]float64
+	counts *counts
 }
 
 // NewEvaluator builds the standard benchmark corpus (seeded, so every
@@ -254,27 +325,26 @@ func NewEvaluator() (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{corpus: c, cache: make(map[float64]float64)}, nil
+	return newEvaluator(c)
 }
 
-// ModelPerplexity trains an n-gram model at the named LLM's calibrated
-// capacity and evaluates held-out perplexity.
+// newEvaluator counts c for evaluation (see newCounts for what it
+// rejects).
+func newEvaluator(c *Corpus) (*Evaluator, error) {
+	k, err := newCounts(c)
+	if err != nil {
+		return nil, err
+	}
+	return &Evaluator{corpus: c, counts: k}, nil
+}
+
+// ModelPerplexity evaluates held-out perplexity of the n-gram model at
+// the named LLM's calibrated capacity.
 func (e *Evaluator) ModelPerplexity(modelName string) (float64, error) {
 	cap_, err := Capacity(modelName)
 	if err != nil {
 		return 0, err
 	}
-	if ppl, ok := e.cache[cap_]; ok {
-		return ppl, nil
-	}
-	m, err := Train(e.corpus, cap_)
-	if err != nil {
-		return 0, err
-	}
-	ppl, err := m.Perplexity(e.corpus)
-	if err != nil {
-		return 0, err
-	}
-	e.cache[cap_] = ppl
-	return ppl, nil
+	m := &Model{Capacity: cap_, counts: e.counts}
+	return m.Perplexity(e.corpus)
 }

@@ -5,9 +5,10 @@
 // Since the paper's testbed — NVIDIA A100/H100/GH200, AMD
 // MI250/MI300X, Habana Gaudi2, SambaNova SN40L — is not reproducible
 // in software, the library rebuilds the system under study as a
-// calibrated, mechanism-level simulator (see DESIGN.md) and reruns the
-// paper's entire evaluation on it: every figure and table has a
-// corresponding experiment and benchmark.
+// calibrated, mechanism-level simulator and reruns the paper's entire
+// evaluation on it: every figure and table has a corresponding
+// experiment and benchmark. Each internal package's doc states its
+// model and substitutions; ROADMAP.md tracks open work.
 //
 // Quick start:
 //

@@ -73,17 +73,22 @@ func (p ServePolicy) String() string {
 	if p.Disagg() {
 		topo = fmt.Sprintf("/disagg/%d:%d", p.PrefillPool, p.DecodePool)
 	}
+	router := "/rr"
 	switch {
-	case p.Autoscale:
-		// The autoscaler's router is least-loaded regardless of the
-		// LeastLoaded and Prefix flags.
-		return batching + "/auto" + topo
 	case p.Prefix:
-		return batching + "/prefix" + topo
+		router = "/prefix"
 	case p.LeastLoaded:
-		return batching + "/ll" + topo
+		router = "/ll"
+	case p.Autoscale:
+		router = ""
 	}
-	return batching + "/rr" + topo
+	if p.Autoscale {
+		// The autoscaler's router is least-loaded regardless of the
+		// LeastLoaded and Prefix flags; a set flag still prints, so
+		// the string parses back to the same policy.
+		return batching + router + "/auto" + topo
+	}
+	return batching + router + topo
 }
 
 // validate rejects policy combinations the simulators do not support.

@@ -23,6 +23,8 @@ func TestServePolicyStringParseRoundTrip(t *testing.T) {
 		{Static: true, LeastLoaded: true},
 		{Autoscale: true},
 		{Static: true, Autoscale: true},
+		{LeastLoaded: true, Autoscale: true}, // router flags print beside auto
+		{Static: true, Prefix: true, Autoscale: true},
 		{PrefillPool: 1, DecodePool: 3},
 		{LeastLoaded: true, PrefillPool: 2, DecodePool: 6},
 	}
