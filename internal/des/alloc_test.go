@@ -83,6 +83,20 @@ func TestStationStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestStationStepPlainSteadyStateAllocs gates the plain policy's
+// batch path (no preemption, no chunked prefill): the finishing heap,
+// the running set's holes and the batch Advance must all run on warmed
+// storage. More requests than MaxBatch keep later admissions joining a
+// running set that completions have punched holes into.
+func TestStationStepPlainSteadyStateAllocs(t *testing.T) {
+	s := allocTestStation(t, Config{MaxBatch: 8}, 16)
+	cycle := stationCycle(t, s, allocTestReqs(12))
+	cycle()
+	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+		t.Errorf("plain steady-state station cycle allocates %.1f times, want 0", avg)
+	}
+}
+
 // TestStationStepStaticSteadyStateAllocs gates the static-batching
 // station path the same way.
 func TestStationStepStaticSteadyStateAllocs(t *testing.T) {

@@ -70,8 +70,8 @@
 //
 // A station's coalesced window stays open across arrivals routed to
 // other stations: the event at each cut only prices further steps,
-// and the steps are applied to the running set (generated counts,
-// allocator Extends, completions) when the window closes — at its
+// and the steps are applied to the running set (the station epoch,
+// one allocator Advance, completions) when the window closes — at its
 // bound, or at the first event that finds the station's queue
 // non-empty. So a router or ScaleTick handler reading a station
 // mid-window sees the state as of the window's opening. That is
@@ -80,7 +80,7 @@
 // the allocator's HotPrefixTokens and RestorablePrefixTokens, and the
 // autoscaler's retire check — because neither happens inside a
 // window. A policy that read per-sequence allocator state (used
-// blocks, UsedBytes) would see the deferred extends missing, and must
+// blocks, UsedBytes) would see the deferred advance missing, and must
 // not be built on this kernel without closing windows first.
 //
 // Disaggregated fleets add a second interaction channel: kv-transfer
@@ -117,14 +117,29 @@
 //     sub-request draws a fresh record from the decode station's
 //     slab. A policy layer must never thread a record across the
 //     pool boundary.
-//   - A coalesced window costs O(batch) once, when it opens (the
-//     sequence scan and the MaxExtendSteps probe), and once more when
-//     it closes (one Extend per sequence); every cut in between — an
-//     arrival routed to another station, or a transfer bound — costs
-//     only the pricing of the steps it spans. On an n-station fleet
-//     about n−1 of every n arrivals are foreign to a given station,
-//     so window work scales with the station's own arrivals, not the
-//     fleet's.
+//   - A station keeps a decode epoch: the steps its started members
+//     have taken together. A member stores generated − epoch, so a
+//     whole-batch step is one epoch increment plus one kvcache
+//     Advance, which costs O(BlockTokens) whatever the batch (see the
+//     kvcache package's "Batch advance"). The running set's context
+//     sum (ctxBase) and its count of fresh members (generated < 2) are
+//     kept up to date as members join and leave, and completions come
+//     off a reusable min-heap keyed by finish epoch, leaving holes in
+//     the running set that are squeezed out (admission order kept)
+//     only when they outnumber the members or a member-by-member path
+//     runs. Opening a window (the heap head, the context sum and one
+//     AdvanceSteps probe), closing it, and the plain policy's reference
+//     iteration therefore cost O(BlockTokens + admitted + completed),
+//     with no pass over the running set. Only the Stepped oracle and
+//     the chunked and preemptive reference iterations, whose members
+//     advance unevenly, still walk the set and Extend member by
+//     member. Every cut inside an open window — an arrival routed to
+//     another station, or a transfer bound — costs only the pricing of
+//     the steps it spans.
+//   - Because Advance grows every live sequence in an allocator, each
+//     station must own its allocator: Run fails with
+//     ErrSharedAllocator when two stations — including one a ScaleTick
+//     handler adds mid-run — hold the same one.
 //   - Each station keeps a monotone cursor into the sorted arrival
 //     array (Station.nextArrival). The cursor relies on station event
 //     times never decreasing: events only move the clock forward and
@@ -152,6 +167,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 
@@ -213,6 +229,12 @@ type Config struct {
 // Release/Reuse if setup cost matters).
 var ErrKernelReused = errors.New("des: Kernel.Run called twice (kernels are single-use)")
 
+// ErrSharedAllocator is returned by Run when two stations hold the same
+// KV allocator. A station advances its whole decode batch with one
+// kvcache Advance, which grows every live sequence in the allocator, so
+// a shared allocator would grow the other station's sequences too.
+var ErrSharedAllocator = errors.New("des: stations share one KV allocator")
+
 // Kernel drives stations over a trace. Build one with New, add
 // stations with NewStation (also legal mid-run, from a ScaleTick
 // handler), set the policy callbacks, then Run.
@@ -265,8 +287,9 @@ type Kernel struct {
 func New(cfg Config) *Kernel { return &Kernel{cfg: cfg} }
 
 // NewStation adds a station owning the given engine and allocator.
-// The allocator must be private to the station; the engine may be
-// shared (engines are immutable and concurrency-safe).
+// The allocator must be private to the station (Run fails with
+// ErrSharedAllocator otherwise); the engine may be shared (engines are
+// immutable and concurrency-safe).
 func (k *Kernel) NewStation(eng *engine.Engine, alloc kvcache.Allocator) *Station {
 	var s *Station
 	if sc := k.scratch; sc != nil && len(sc.stations) > 0 {
@@ -390,6 +413,9 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			return Result{}, fmt.Errorf("des: station %d incomplete", s.ID)
 		}
 	}
+	if err := k.checkAllocators(0); err != nil {
+		return Result{}, err
+	}
 	k.cut = -1
 	if k.hasPrefill {
 		// Pool roles ride the plain continuous admission path: static
@@ -484,7 +510,11 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 		}
 		for i < len(ordered) && ordered[i].Arrival == t {
 			if k.ScaleTick != nil {
+				n := len(k.stations)
 				if err := k.ScaleTick(t); err != nil {
+					return Result{}, err
+				}
+				if err := k.checkAllocators(n); err != nil {
 					return Result{}, err
 				}
 			}
@@ -492,7 +522,7 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if s == nil {
 				return Result{}, errors.New("des: router returned no station")
 			}
-			s.enqueue(queued{req: ordered[i]})
+			s.enqueue(queued{req: ordered[i], arrival: ordered[i].Arrival})
 			k.wake(s, t) // an idle station wakes at the arrival instant
 			i++
 		}
@@ -512,6 +542,26 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 	}
 
 	return k.collect(), nil
+}
+
+// checkAllocators fails with ErrSharedAllocator when a station from
+// index from on holds the allocator of an earlier station. Allocators
+// whose values cannot be compared (a value type holding a slice, say)
+// are distinct values and are skipped rather than compared, which
+// would panic.
+func (k *Kernel) checkAllocators(from int) error {
+	for i := from; i < len(k.stations); i++ {
+		a := k.stations[i].Alloc
+		if !reflect.ValueOf(a).Comparable() {
+			continue
+		}
+		for _, s := range k.stations[:i] {
+			if reflect.ValueOf(s.Alloc).Comparable() && s.Alloc == a {
+				return fmt.Errorf("%w: stations %d and %d", ErrSharedAllocator, s.ID, i)
+			}
+		}
+	}
+	return nil
 }
 
 // flush streams every completion that can no longer be reordered out

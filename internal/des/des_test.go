@@ -168,6 +168,64 @@ func TestKernelPreemptionMidWindow(t *testing.T) {
 	if preempted != res.Preemptions {
 		t.Errorf("per-request Preempted sum %d != kernel count %d", preempted, res.Preemptions)
 	}
+	// An eviction requeues a request at the eviction instant, but its
+	// latency still counts from the trace arrival.
+	arrival := make(map[int]float64, len(reqs))
+	for _, r := range reqs {
+		arrival[r.ID] = r.Arrival
+	}
+	for _, r := range res.Finished {
+		if r.Arrival != arrival[r.ID] {
+			t.Errorf("request %d (evicted %d times) reports arrival %v, trace arrival %v",
+				r.ID, r.Preempted, r.Arrival, arrival[r.ID])
+		}
+	}
+}
+
+// sliceAlloc is an allocator value whose type cannot be compared.
+type sliceAlloc struct {
+	kvcache.Allocator
+	tags []int
+}
+
+// TestKernelRejectsSharedAllocator pins ErrSharedAllocator: a batch
+// Advance grows every live sequence in an allocator, so two stations
+// must never hold the same one — whether the fleet was built that way
+// or a ScaleTick handler added the second station mid-run. Allocator
+// values of a non-comparable type must not make the check panic.
+func TestKernelRejectsSharedAllocator(t *testing.T) {
+	eng := testEngine(t)
+	reqs := []workload.Request{{ID: 0, Input: 64, Output: 8}, {ID: 1, Input: 64, Output: 8, Arrival: 1}}
+
+	k := des.New(des.Config{MaxBatch: 4})
+	shared := testAlloc(t, 1)
+	k.NewStation(eng, testAlloc(t, 1))
+	k.NewStation(eng, shared)
+	k.NewStation(eng, shared)
+	if _, err := k.Run(reqs); !errors.Is(err, des.ErrSharedAllocator) {
+		t.Errorf("stations 1 and 2 share an allocator: Run error %v, want ErrSharedAllocator", err)
+	}
+
+	k = des.New(des.Config{MaxBatch: 4})
+	first := k.NewStation(eng, shared)
+	k.ScaleTick = func(now float64) error {
+		if now > 0 {
+			k.NewStation(eng, first.Alloc)
+		}
+		return nil
+	}
+	if _, err := k.Run(reqs); !errors.Is(err, des.ErrSharedAllocator) {
+		t.Errorf("a station added mid-run shares an allocator: Run error %v, want ErrSharedAllocator", err)
+	}
+
+	k = des.New(des.Config{MaxBatch: 4})
+	for i := 0; i < 2; i++ {
+		k.NewStation(eng, sliceAlloc{Allocator: testAlloc(t, 1), tags: []int{i}})
+	}
+	res, err := k.Run(reqs)
+	if err != nil || res.Completed != len(reqs) {
+		t.Errorf("distinct non-comparable allocators: completed %d, error %v", res.Completed, err)
+	}
 }
 
 // TestKernelChunkedPrefillModes covers the fused prefill-slice path

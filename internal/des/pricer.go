@@ -68,20 +68,6 @@ func (p *pricer) step(eng *engine.Engine, batch, ctx int) (float64, error) {
 	return c.Seconds, nil
 }
 
-// windowBound applies the allocator's headroom to kMax, the completion
-// bound of a window over seqs: the KV pool may run dry inside the
-// window, in which case the window fast-forwards to the last iteration
-// that fits and the reference path takes the preemption (or OOM) at
-// the boundary. A result below 2 admits no window.
-func windowBound(alloc kvcache.Allocator, seqs []kvcache.Seq, kMax int) int {
-	if kMax > 1 {
-		if k := alloc.MaxExtendSteps(seqs, kMax); k < kMax {
-			kMax = k
-		}
-	}
-	return kMax
-}
-
 // run resumes pricing the window anchored at (batch, ctx0) whose
 // first taken steps are already priced: starting at time now, it
 // prices steps taken, taken+1, … and stops after the step that
@@ -147,14 +133,24 @@ func (p *pricer) run(eng *engine.Engine, batch, ctx0, taken, kMax int, now, cut 
 // by adding the returned costs one at a time, in order — that keeps
 // coalesced time byte-identical to stepped time.
 //
+// The KV pool may run dry inside the window, in which case the window
+// fast-forwards to the last iteration that fits and the reference path
+// takes the preemption (or OOM) at the boundary.
+//
 // Stations keep their window open across cuts instead (Station.win):
-// they bound once and resume pricing at every cut, which sums the same
-// costs in the same order. The standalone form prices through a
-// throwaway handle; tests use it to place events on window
-// boundaries.
+// they bound once — with AdvanceSteps over their whole batch, which
+// equals MaxExtendSteps over its handles — and resume pricing at every
+// cut, which sums the same costs in the same order. The standalone
+// form prices through a throwaway handle; tests use it to place events
+// on window boundaries.
 func CoalesceWindow(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
 	batch, ctx0, kMax int, now, nextArrival float64) ([]float64, error) {
-	if kMax = windowBound(alloc, seqs, kMax); kMax < 2 {
+	if kMax > 1 {
+		if k := alloc.MaxExtendSteps(seqs, kMax); k < kMax {
+			kMax = k
+		}
+	}
+	if kMax < 2 {
 		return nil, nil
 	}
 	var p pricer

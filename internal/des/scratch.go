@@ -60,9 +60,11 @@ func (k *Kernel) Release() {
 		// Leftover run records (error paths abandon in-flight work)
 		// go back on the free list with everything else.
 		for _, r := range s.run {
-			s.free = append(s.free, r)
+			if r != nil {
+				s.free = append(s.free, r)
+			}
 		}
-		s.run = s.run[:0]
+		s.run, s.holes = s.run[:0], 0
 		s.Engine, s.Alloc, s.disc = nil, nil, nil
 		s.pricer = pricer{} // drop the snapshot so the arena cannot pin engine memo arrays
 		sc.stations = append(sc.stations, s)

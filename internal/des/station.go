@@ -1,6 +1,7 @@
 package des
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -42,7 +43,27 @@ type Station struct {
 	queue []queued
 	qhead int
 
-	run []*runReq
+	// run is the running set in admission order. Completions found
+	// through the finishing heap leave nil holes (holes counts them)
+	// instead of shifting the survivors; compact squeezes them out
+	// before the paths that walk the set and when holes outnumber
+	// members at admission, so removal stays O(1) amortised.
+	run   []*runReq
+	holes int
+
+	// epoch counts the decode steps the station's started members have
+	// taken together: a started member's generated count is
+	// genBase + epoch, so advancing the whole batch is one increment
+	// (and one kvcache Advance) rather than a pass over the members.
+	// ctxBase is Σ (Input + genBase) over started members, so their
+	// context sum is ctxBase + started·epoch; fresh counts running
+	// members with generated < 2; finishing is a min-heap of the
+	// started members by finish epoch (Output − genBase), so the
+	// completions of a step or window are popped, not searched for.
+	epoch     int
+	ctxBase   int
+	fresh     int
+	finishing finishHeap
 
 	nextAt   float64 // next window-exhausted event; < 0 when idle
 	busy     float64 // time spent executing iterations
@@ -82,11 +103,10 @@ type Station struct {
 	// step.
 	win openWindow
 
-	seqs     []kvcache.Seq // reused sequence-handle buffer
-	decoding []*runReq     // reused chunked-mode partition buffer
-	admitted []*runReq     // reused admission / static-batch buffer
-	free     []*runReq     // recycled request records
-	slab     []runReq      // bump-allocation backing for fresh records
+	decoding []*runReq // reused chunked-mode partition buffer
+	admitted []*runReq // reused admission / static-batch buffer
+	free     []*runReq // recycled request records
+	slab     []runReq  // bump-allocation backing for fresh records
 
 	// pricer is the station's cached pricing handle: the current
 	// (batch, ctxStart) step-vector snapshot, so steady-state window
@@ -111,10 +131,13 @@ type Station struct {
 	xferCut float64
 }
 
-// queued is a waiting request; preempted counts prior evictions so
-// the lifecycle stats survive a requeue.
+// queued is a waiting request. req.Arrival is its effective arrival,
+// the queue's sort key — the eviction instant for a preempted request
+// — while arrival is the trace arrival its stats report; preempted
+// counts prior evictions so the lifecycle stats survive a requeue.
 type queued struct {
 	req       workload.Request
+	arrival   float64
 	preempted int
 	// decode marks a decode-phase sub-request delivered by a
 	// kv-transfer event; carry is its lifecycle so far (original
@@ -130,9 +153,11 @@ type queued struct {
 type runReq struct {
 	req            workload.Request
 	seq            kvcache.Seq // live KV reservation handle
-	generated      int
-	pendingPrefill int // prompt tokens not yet prefilled (chunked mode)
-	prefillSkip    int // prompt tokens served from the prefix cache
+	genBase        int         // generated − station epoch, once started
+	pendingPrefill int         // prompt tokens not yet prefilled (chunked mode)
+	prefillSkip    int         // prompt tokens served from the prefix cache
+	pos            int         // index in the station's run
+	heapAt         int         // index in the finishing heap; -1 until started
 	stats          RequestStats
 }
 
@@ -140,7 +165,7 @@ type runReq struct {
 // cuts: k steps of the running set are priced — added to the clock,
 // busy and maxIter — but not yet applied to the sequences, out of a
 // verified bound kMax (completion and KV headroom), anchored at the
-// running set's mean context ctx0. The batch is len(s.run), which
+// running set's mean context ctx0. The batch is running(), which
 // cannot change while the window is open: only admission or a
 // completion changes it, admission closes the window first, and
 // completions land only at kMax. The zero value is a closed window.
@@ -165,10 +190,11 @@ func (s *Station) getReq(q queued, now float64) *runReq {
 		s.slab = s.slab[1:]
 	}
 	*r = runReq{
-		req: q.req,
+		req:    q.req,
+		heapAt: -1,
 		stats: RequestStats{
 			ID: q.req.ID, Input: q.req.Input, Output: q.req.Output,
-			Arrival: q.req.Arrival, Started: now, Preempted: q.preempted,
+			Arrival: q.arrival, Started: now, Preempted: q.preempted,
 		},
 	}
 	if q.decode {
@@ -177,7 +203,7 @@ func (s *Station) getReq(q queued, now float64) *runReq {
 		// already prefilled on the prefill pool (first token emitted
 		// there, so generated starts at 1).
 		r.stats = q.carry
-		r.generated = 1
+		s.start(r, 1)
 	}
 	return r
 }
@@ -193,6 +219,9 @@ func (s *Station) reset() {
 	s.queue = s.queue[:0]
 	s.qhead = 0
 	s.run = s.run[:0]
+	s.holes = 0
+	s.epoch, s.ctxBase, s.fresh = 0, 0, 0
+	s.finishing = s.finishing[:0]
 	s.nextAt = -1
 	s.busy, s.maxIter, s.lastDone = 0, 0, 0
 	s.done, s.preempts = 0, 0
@@ -224,10 +253,13 @@ func (s *Station) popHead() queued {
 	return q
 }
 
+// running is the number of requests in the running set.
+func (s *Station) running() int { return len(s.run) - s.holes }
+
 // Outstanding is the station's queued plus running request count —
 // the load signal the routing and scaling policies read at arrival
 // barriers.
-func (s *Station) Outstanding() int { return s.queueLen() + len(s.run) }
+func (s *Station) Outstanding() int { return s.queueLen() + s.running() }
 
 // PendingPrefillTokens is the prompt-token backlog still chunking
 // through this station's fused prefill slot (always 0 outside chunked
@@ -240,7 +272,9 @@ func (s *Station) Outstanding() int { return s.queueLen() + len(s.run) }
 func (s *Station) PendingPrefillTokens() int {
 	pending := 0
 	for _, r := range s.run {
-		pending += r.pendingPrefill
+		if r != nil {
+			pending += r.pendingPrefill
+		}
 	}
 	return pending
 }
@@ -289,7 +323,7 @@ func (s *Station) advance(barrier float64, arrivals []float64) {
 			s.err, s.errAt = err, now
 			return
 		}
-		if len(s.run) == 0 && s.queueLen() == 0 {
+		if s.running() == 0 && s.queueLen() == 0 {
 			s.nextAt = -1 // idle; an arrival wakes the station
 			return
 		}
@@ -361,7 +395,7 @@ func (s *Station) step(now, cut float64) (float64, error) {
 	// everything behind it.
 	s.admitted = s.admitted[:0]
 	var restoreS float64
-	for s.queueLen() > 0 && len(s.run)+len(s.admitted) < s.cfg.MaxBatch {
+	for s.queueLen() > 0 && s.running()+len(s.admitted) < s.cfg.MaxBatch {
 		q := s.queue[s.qhead]
 		if q.decode != (s.role == RoleDecode) {
 			// A phase routed to the wrong pool: the simulation would
@@ -411,7 +445,7 @@ func (s *Station) step(now, cut float64) (float64, error) {
 				a.pendingPrefill = a.req.Input - a.prefillSkip
 			}
 			if restoreS > 0 {
-				if len(s.run) > 0 && restoreS > s.maxIter {
+				if s.running() > 0 && restoreS > s.maxIter {
 					s.maxIter = restoreS
 				}
 				step += restoreS
@@ -433,18 +467,18 @@ func (s *Station) step(now, cut float64) (float64, error) {
 			if restoreS > 0 {
 				adm += restoreS
 			}
-			if len(s.run) > 0 && adm > s.maxIter {
+			if s.running() > 0 && adm > s.maxIter {
 				s.maxIter = adm // running requests stalled this long
 			}
 			step += adm
 			for _, a := range admitted {
 				a.stats.FirstTok = now + step
-				a.generated = 1 // prefill emits the first token
+				s.start(a, 1) // prefill emits the first token
 			}
 		}
-		s.run = append(s.run, admitted...)
+		s.join(admitted)
 	}
-	if len(s.run) == 0 {
+	if s.running() == 0 {
 		if s.queueLen() > 0 {
 			// Nothing is running and the head cannot be admitted: no
 			// future completion can free capacity, so it never fits.
@@ -453,6 +487,78 @@ func (s *Station) step(now, cut float64) (float64, error) {
 		}
 		return now, nil
 	}
+	// Coalescing fast path: a pure-decode state whose next iterations
+	// are identical except for context growth. Every member must be
+	// established — generated ≥ 2, so its reservation already equals
+	// Input+generated and each step extends it by exactly one token,
+	// the trajectory AdvanceSteps prices; no fresh member also means
+	// no pending prefill. A fresh request runs its first iteration
+	// stepped. The bound comes from the finishing heap's head, the
+	// context sum from ctxBase and the headroom from the allocator's
+	// ring, so opening a window visits no member, and continueWindow
+	// prices it across every cut from there.
+	if !s.cfg.Stepped && len(admitted) == 0 && s.fresh == 0 {
+		kMax := s.finishing[0].finishEpoch() - s.epoch
+		if kMax > 1 {
+			if k := s.Alloc.AdvanceSteps(kMax); k < kMax {
+				kMax = k
+			}
+		}
+		if kMax >= 2 {
+			n := s.running()
+			s.win = openWindow{kMax: kMax, ctx0: (s.ctxBase + n*s.epoch) / n}
+			return s.continueWindow(now, cut)
+		}
+	}
+	if !s.cfg.Stepped && !s.cfg.ChunkedPrefill && !s.cfg.Preemptive {
+		return s.batchIteration(now, step, admitted)
+	}
+	return s.memberIteration(now, step)
+}
+
+// batchIteration runs one reference iteration of the plain policy (no
+// chunked prefill, no preemption, not Stepped) after admission has
+// charged step seconds: the whole running set decodes one token in
+// O(BlockTokens + admitted + completed). Completions free their
+// reservations first — the final token does not grow one — then the
+// fresh admissions are extended to Input+1 so that one batch
+// Advance(1) takes every survivor to Input+generated.
+func (s *Station) batchIteration(now, step float64, admitted []*runReq) (float64, error) {
+	n := s.running()
+	t, err := s.Engine.DecodeStepSeconds(n, (s.ctxBase+n*s.epoch)/n)
+	if err != nil {
+		return 0, err
+	}
+	step += t
+	if step > s.maxIter {
+		s.maxIter = step
+	}
+	end := now + step
+	s.busy += step
+	s.finishDue(s.epoch+1, end)
+	for _, a := range admitted {
+		// A finished admission left the heap (its record is recycled
+		// only at the next admission, so the read is safe).
+		if a.heapAt >= 0 {
+			if err := s.Alloc.Extend(a.seq, a.req.Input+1); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if err := s.Alloc.Advance(1); err != nil {
+		return 0, err
+	}
+	s.epoch++
+	s.fresh = 0
+	return end, nil
+}
+
+// memberIteration runs one reference iteration member by member: the
+// Stepped oracle, and the chunked and preemptive policies, whose
+// members advance unevenly (pending prefills, evictions). Admission
+// has charged step seconds.
+func (s *Station) memberIteration(now, step float64) (float64, error) {
+	s.compact()
 	// One iteration: a decode step for the generating set, fused with
 	// at most one prefill slice in chunked mode. Without chunked
 	// prefill the whole running set decodes — no partition needed.
@@ -478,39 +584,10 @@ func (s *Station) step(now, cut float64) (float64, error) {
 		}
 		decoding = s.decoding
 	}
-	// Coalescing fast path: a pure-decode state whose next iterations
-	// are identical except for context growth. Every member must be
-	// established — generated ≥ 2, so its reservation already equals
-	// Input+generated and each step extends it by exactly one token,
-	// the trajectory MaxExtendSteps prices. A fresh request runs its
-	// first iteration stepped. Opening the window is the only O(batch)
-	// pass: it fixes the bound once, and continueWindow prices it
-	// across every cut from there.
-	if !s.cfg.Stepped && prefilling == nil && len(admitted) == 0 {
-		kMax := s.run[0].req.Output - s.run[0].generated
-		ctxSum := 0
-		s.seqs = s.seqs[:0]
-		for _, r := range s.run {
-			if r.generated < 2 {
-				kMax = 0
-				break
-			}
-			if rem := r.req.Output - r.generated; rem < kMax {
-				kMax = rem
-			}
-			ctxSum += r.req.Input + r.generated
-			s.seqs = append(s.seqs, r.seq)
-		}
-		if kMax = windowBound(s.Alloc, s.seqs, kMax); kMax >= 2 {
-			s.win = openWindow{kMax: kMax, ctx0: ctxSum / len(s.run)}
-			return s.continueWindow(now, cut)
-		}
-	}
-	// One reference iteration.
 	if len(decoding) > 0 {
 		ctxSum := 0
 		for _, r := range decoding {
-			ctxSum += r.req.Input + r.generated
+			ctxSum += r.req.Input + s.generated(r)
 		}
 		t, err := s.Engine.DecodeStepSeconds(len(decoding), ctxSum/len(decoding))
 		if err != nil {
@@ -518,6 +595,7 @@ func (s *Station) step(now, cut float64) (float64, error) {
 		}
 		step += t
 	}
+	var prefilled *runReq // emits its first token this iteration
 	if prefilling != nil {
 		chunk := s.cfg.PrefillChunk
 		if chunk <= 0 {
@@ -534,7 +612,7 @@ func (s *Station) step(now, cut float64) (float64, error) {
 		prefilling.pendingPrefill -= chunk
 		if prefilling.pendingPrefill == 0 {
 			prefilling.stats.FirstTok = now + step
-			prefilling.generated = 1
+			prefilled = prefilling
 		}
 	}
 	if len(decoding) > 0 && step > s.maxIter {
@@ -542,50 +620,66 @@ func (s *Station) step(now, cut float64) (float64, error) {
 	}
 	end := now + step
 	s.busy += step
+	// Every started member decodes one token: the epoch moves, and
+	// the member just prefilled starts at generated 1 after it.
+	s.epoch++
 	next := s.run[:0]
 	for _, r := range s.run {
-		if r.pendingPrefill > 0 || (r == prefilling && r.generated == 1) {
-			// Still prefilling, or just emitted its first token this
-			// iteration — no decode advance yet.
-			next = append(next, r)
+		if r == prefilled || r.heapAt < 0 {
+			// Just emitted its first token this iteration (it starts at
+			// generated 1 from the new epoch), or still prefilling — no
+			// decode advance yet.
+			if r == prefilled {
+				s.start(r, 1)
+			}
+			next = s.keep(next, r)
 			continue
 		}
-		r.generated++
+		g := s.generated(r)
 		if s.cfg.Preemptive {
-			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
+			if err := s.Alloc.Extend(r.seq, r.req.Input+g); err != nil {
 				if errors.Is(err, kvcache.ErrOutOfMemory) {
 					// Preempt: evict and requeue at the tail of this
 					// station's queue (recompute later). The requeued
-					// request re-arrives at the eviction instant.
+					// request re-enters the queue at the eviction
+					// instant but keeps its trace arrival for its stats.
+					s.stop(r)
 					s.Alloc.Free(r.seq)
 					s.preempts++
 					requeued := r.req
 					requeued.Arrival = end
-					s.queue = append(s.queue, queued{req: requeued, preempted: r.stats.Preempted + 1})
+					s.queue = append(s.queue, queued{req: requeued, arrival: r.stats.Arrival, preempted: r.stats.Preempted + 1})
 					s.putReq(r)
 					continue
 				}
 				return 0, err
 			}
-			if r.generated >= r.req.Output {
-				s.finish(r, end)
-				continue
-			}
-		} else {
-			// Completion is checked before Extend — a sequence
-			// emitting its final token does not grow its reservation —
-			// and the coalesced path above mirrors that order.
-			if r.generated >= r.req.Output {
-				s.finish(r, end)
-				continue
-			}
-			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
+		}
+		// Without preemption the completion check comes before any
+		// Extend — a sequence emitting its final token does not grow
+		// its reservation — and the extends follow once every
+		// completion has freed its blocks, as batchIteration and
+		// closeWindow do.
+		if g >= r.req.Output {
+			s.stop(r)
+			s.finish(r, end)
+			continue
+		}
+		next = s.keep(next, r)
+	}
+	clear(s.run[len(next):])
+	s.run = next
+	s.fresh = 0
+	for _, r := range s.run {
+		if r.heapAt < 0 || s.generated(r) < 2 {
+			s.fresh++
+		}
+		if !s.cfg.Preemptive && r.heapAt >= 0 && r != prefilled {
+			if err := s.Alloc.Extend(r.seq, r.req.Input+s.generated(r)); err != nil {
 				return 0, err
 			}
 		}
-		next = append(next, r)
 	}
-	s.run = next
 	return end, nil
 }
 
@@ -595,7 +689,7 @@ func (s *Station) step(now, cut float64) (float64, error) {
 // stepped iterations would leave them. Reaching the bound closes the
 // window at its end, completions included.
 func (s *Station) continueWindow(now, cut float64) (float64, error) {
-	costs, err := s.pricer.run(s.Engine, len(s.run), s.win.ctx0, s.win.k, s.win.kMax, now, cut)
+	costs, err := s.pricer.run(s.Engine, s.running(), s.win.ctx0, s.win.k, s.win.kMax, now, cut)
 	if err != nil {
 		return 0, err
 	}
@@ -617,42 +711,133 @@ func (s *Station) continueWindow(now, cut float64) (float64, error) {
 }
 
 // closeWindow applies the open window's priced steps to the running
-// set at time end and closes it: one batched Extend per sequence to
-// its final context — headroom was verified for the whole bound, so
-// none can OOM, and the allocator lands in the same state as k
-// single-token extends — and completions at end. Completions occur
-// only when the window reached its bound; a window closed early by a
+// set at time end and closes it: the epoch moves by k and one batch
+// Advance(k) grows every reservation — headroom was verified for the
+// whole bound, so it cannot run out of memory, and the allocator lands
+// in the same state as k single-token extends — while the completions
+// at end are popped off the finishing heap. Completions occur only
+// when the window reached its bound; a window closed early by a
 // queued request has k < kMax, short of every member's last token.
+// Preemptive bookkeeping advances before finishing, exactly as its
+// stepped path extends before the completion check; otherwise the
+// completing sequences are freed first, since their final token does
+// not grow a reservation.
 func (s *Station) closeWindow(end float64) error {
 	k := s.win.k
 	s.win = openWindow{}
+	if !s.cfg.Preemptive {
+		s.finishDue(s.epoch+k, end)
+	}
+	if err := s.Alloc.Advance(k); err != nil {
+		return err
+	}
+	s.epoch += k
+	if s.cfg.Preemptive {
+		s.finishDue(s.epoch, end)
+	}
+	return nil
+}
+
+// generated is a member's output-token count: 0 until it starts.
+func (s *Station) generated(r *runReq) int {
+	if r.heapAt < 0 {
+		return 0
+	}
+	return r.genBase + s.epoch
+}
+
+// start marks a member as having emitted gen tokens: from here on it
+// advances with the epoch, counts in ctxBase, and waits in the
+// finishing heap.
+func (s *Station) start(r *runReq, gen int) {
+	r.genBase = gen - s.epoch
+	s.ctxBase += r.req.Input + r.genBase
+	heap.Push(&s.finishing, r)
+}
+
+// stop withdraws a started member from the epoch bookkeeping (its
+// completion or eviction).
+func (s *Station) stop(r *runReq) {
+	s.ctxBase -= r.req.Input + r.genBase
+	heap.Remove(&s.finishing, r.heapAt)
+}
+
+// finishDue completes, at time end, every member whose finish epoch is
+// at most limit, leaving holes in the running set.
+func (s *Station) finishDue(limit int, end float64) {
+	for len(s.finishing) > 0 && s.finishing[0].finishEpoch() <= limit {
+		r := s.finishing[0]
+		s.stop(r)
+		s.run[r.pos] = nil
+		s.holes++
+		s.finish(r, end)
+	}
+	if s.holes == len(s.run) {
+		s.run, s.holes = s.run[:0], 0
+	}
+}
+
+// finishEpoch is the station epoch at which a started member emits
+// its last token.
+func (r *runReq) finishEpoch() int { return r.req.Output - r.genBase }
+
+// finishHeap orders started members by finish epoch (container/heap),
+// keeping each member's index in heapAt.
+type finishHeap []*runReq
+
+func (h finishHeap) Len() int           { return len(h) }
+func (h finishHeap) Less(i, j int) bool { return h[i].finishEpoch() < h[j].finishEpoch() }
+func (h finishHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapAt, h[j].heapAt = i, j
+}
+
+func (h *finishHeap) Push(x any) {
+	r := x.(*runReq)
+	r.heapAt = len(*h)
+	*h = append(*h, r)
+}
+
+func (h *finishHeap) Pop() any {
+	old := *h
+	r := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	r.heapAt = -1
+	return r
+}
+
+// join appends admitted requests to the running set, first squeezing
+// out the holes when they outnumber the members.
+func (s *Station) join(admitted []*runReq) {
+	if s.holes > s.running() {
+		s.compact()
+	}
+	for _, r := range admitted {
+		s.run = s.keep(s.run, r)
+	}
+	s.fresh += len(admitted)
+}
+
+// keep appends a member to run, recording its position.
+func (s *Station) keep(run []*runReq, r *runReq) []*runReq {
+	r.pos = len(run)
+	return append(run, r)
+}
+
+// compact removes the running set's holes, keeping admission order.
+func (s *Station) compact() {
+	if s.holes == 0 {
+		return
+	}
 	next := s.run[:0]
 	for _, r := range s.run {
-		r.generated += k
-		if s.cfg.Preemptive {
-			// Preemptive bookkeeping extends before the completion
-			// check, exactly as its stepped path does: the completing
-			// step still grows the reservation.
-			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-				return err
-			}
-			if r.generated >= r.req.Output {
-				s.finish(r, end)
-				continue
-			}
-		} else {
-			if r.generated >= r.req.Output {
-				s.finish(r, end)
-				continue
-			}
-			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-				return err
-			}
+		if r != nil {
+			next = s.keep(next, r)
 		}
-		next = append(next, r)
 	}
-	s.run = next
-	return nil
+	clear(s.run[len(next):])
+	s.run, s.holes = next, 0
 }
 
 // phaseName names a queued entry's phase for error messages.
@@ -722,7 +907,6 @@ func (s *Station) stepPrefill(now float64) (float64, error) {
 		// The batched prefill emits each prompt's first token at the
 		// batch's end, exactly as aggregated admission charges it.
 		a.stats.FirstTok = end
-		a.generated = 1
 		s.handoff(a, end)
 	}
 	return end, nil

@@ -122,3 +122,48 @@ func TestPrefixPagedWarmCycleAllocs(t *testing.T) {
 		t.Errorf("warm prefix alloc/probe/extend/free cycle allocates %.1f times, want 0", avg)
 	}
 }
+
+// TestAdvanceWarmCycleAllocs gates the batch path the serving kernel
+// takes per decode window: AdvanceSteps, Advance, and per-request
+// Alloc/Free, with a third of the PrefixPaged sequences short of the
+// shared prefix so the short list fills, surfaces and drains too.
+func TestAdvanceWarmCycleAllocs(t *testing.T) {
+	paged, err := NewPaged(16, 65536, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := NewPrefixPaged(16, 256, 65536, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []Allocator{paged, prefix} {
+		var seqs [12]Seq
+		cycle := func() {
+			for i := range seqs {
+				seq, err := a.Alloc(64 * i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seqs[i] = seq
+			}
+			for window := 0; window < 16; window++ {
+				k := a.AdvanceSteps(1 + window)
+				if k < 1 {
+					t.Fatal("warm pool unexpectedly full")
+				}
+				if err := a.Advance(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_ = a.UsedBytes()
+			_ = a.WasteBytes()
+			for _, seq := range seqs {
+				a.Free(seq)
+			}
+		}
+		cycle() // warm the slot table, free stack, short list, and scratch
+		if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+			t.Errorf("%T: warm alloc/advance/free cycle allocates %.1f times, want 0", a, avg)
+		}
+	}
+}

@@ -19,18 +19,17 @@ import (
 // probe.
 func refMaxExtendSteps(a Allocator, seqs []Seq, limit int) int {
 	var (
-		table  *seqTable
-		free   int
+		pg     *pages
 		blocks func(tokens int) int
 	)
 	switch p := a.(type) {
 	case *Tiered:
 		return refMaxExtendSteps(p.gpu, seqs, limit)
 	case *Paged:
-		table, free = &p.table, p.freeBlocks
+		pg = &p.pages
 		blocks = func(t int) int { return (t + p.BlockTokens - 1) / p.BlockTokens }
 	case *PrefixPaged:
-		table, free = &p.table, p.freeBlocks
+		pg = &p.pages
 		shared := p.PrefixTokens / p.BlockTokens * p.BlockTokens
 		blocks = func(t int) int {
 			if t <= shared {
@@ -47,12 +46,13 @@ func refMaxExtendSteps(a Allocator, seqs []Seq, limit int) int {
 	var toks []int
 	base := 0
 	for _, s := range seqs {
-		slot := table.lookup(s)
+		slot := pg.table.lookup(s)
 		if slot < 0 {
 			return 0
 		}
-		toks = append(toks, table.tokens[slot])
-		base += table.aux[slot]
+		t := pg.table.tokens[slot] + pg.epoch
+		toks = append(toks, t)
+		base += blocks(t)
 	}
 	demand := func(k int) int {
 		n := -base
@@ -64,7 +64,7 @@ func refMaxExtendSteps(a Allocator, seqs []Seq, limit int) int {
 	lo, hi := 0, limit
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if demand(mid) <= free {
+		if demand(mid) <= pg.freeBlocks {
 			lo = mid
 		} else {
 			hi = mid - 1

@@ -9,11 +9,29 @@
 //
 // Sequences are identified by opaque Seq handles the allocator assigns
 // at Alloc time. Internally every allocator keeps dense slice tables
-// indexed by the handle's slot — no maps — so the per-event bookkeeping
-// of the serving kernel (Alloc/Extend/Free/MaxExtendSteps per coalesced
-// window) is pure array arithmetic. Slots are recycled through a free
-// list; a generation counter baked into the handle makes stale handles
-// detectable, so a Free'd handle can never alias a later sequence.
+// indexed by the handle's slot — no maps — so the per-event
+// bookkeeping of the serving kernel (Alloc/Free per request,
+// Advance/AdvanceSteps per coalesced window) is pure array arithmetic.
+// Slots are recycled through a free list; a generation counter baked
+// into the handle makes stale handles detectable, so a Free'd handle
+// can never alias a later sequence.
+//
+// # Batch advance
+//
+// In a decode window every running sequence advances by the same k
+// tokens, so Paged and PrefixPaged keep each sequence's context as an
+// offset from an allocator epoch and bucket the sequences in a ring of
+// BlockTokens counters by context residue. Advance(k) then costs
+// O(BlockTokens), whatever the batch: the new blocks are n·⌊k/B⌋ plus
+// the sequences whose last block fills within k mod B tokens (a ring
+// read), the waste moves by blocks·B − n·k, and the epoch moves by k.
+// AdvanceSteps reads the same ring as the headroom histogram
+// MaxExtendSteps builds from a handle list. PrefixPaged sequences
+// still short of the shared prefix — whose headroom can span several
+// blocks — are listed apart and resolved exactly, one by one, until
+// they reach it. Per-sequence state is touched only by Alloc, Extend
+// and Free. Advance moves every live sequence, so an allocator that
+// takes batch advances must serve exactly one running batch.
 //
 // # Tiering and restore
 //
@@ -35,7 +53,6 @@ package kvcache
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrOutOfMemory is returned when an allocation cannot be satisfied.
@@ -81,20 +98,32 @@ type Allocator interface {
 	// stale handle makes the result 0, and a handle listed twice
 	// counts twice. Every allocator answers in one pass over seqs.
 	MaxExtendSteps(seqs []Seq, limit int) int
+	// Advance grows every live sequence by k ≥ 0 tokens at once — a
+	// decode window of the whole batch, leaving the allocator exactly
+	// as k rounds of single-token Extends would. It is all-or-nothing:
+	// on ErrOutOfMemory nothing changes. Paged, PrefixPaged and Tiered
+	// answer in O(BlockTokens); see "Batch advance".
+	Advance(k int) error
+	// AdvanceSteps returns the largest k ≤ limit that Advance would
+	// accept: MaxExtendSteps over every live sequence, without a
+	// handle list. It never mutates state.
+	AdvanceSteps(limit int) int
 }
 
 // --- dense sequence table ------------------------------------------------
 
 // seqTable is the shared slot store behind every allocator: per-slot
-// token counts, one allocator-specific auxiliary integer (block count
-// for Paged, private-block count for PrefixPaged), and the generation
-// guard. Lookups, inserts, and releases are O(1) slice operations; the
-// only allocations are the geometric growth of the tables themselves,
-// which stops once the peak concurrency has been seen — the warm
-// steady state of a serving run touches no map and allocates nothing.
+// token counts (offsets from the batch epoch for Paged and
+// PrefixPaged), one allocator-specific auxiliary integer (the ring
+// bucket or short-list position for Paged and PrefixPaged; unused by
+// Monolithic), and the generation guard. Lookups, inserts, and
+// releases are O(1) slice operations; the only allocations are the
+// geometric growth of the tables themselves, which stops once the peak
+// concurrency has been seen — the warm steady state of a serving run
+// touches no map and allocates nothing.
 type seqTable struct {
 	tokens []int    // per-slot written token count
-	aux    []int    // per-slot allocator-specific count
+	aux    []int    // per-slot allocator-specific index
 	gen    []uint32 // per-slot generation; odd = live
 	free   []int32  // stack of dead slots
 	live   int
@@ -144,202 +173,31 @@ func (t *seqTable) release(slot int) {
 // fixed-size blocks of BlockTokens tokens; sequences own block lists
 // and waste at most one partial block each.
 type Paged struct {
-	BlockTokens   int
-	BytesPerToken float64
-	capacity      float64
-	totalBlocks   int
-	freeBlocks    int
-	slackTokens   int // reserved-but-unwritten tokens across live seqs
-	table         seqTable
-	room          headroom // reused by MaxExtendSteps
+	pages
 }
 
 // NewPaged creates a paged allocator over capacityBytes of storage.
 func NewPaged(blockTokens int, bytesPerToken, capacityBytes float64) (*Paged, error) {
-	if blockTokens <= 0 {
-		return nil, fmt.Errorf("kvcache: block size %d must be positive", blockTokens)
+	pg, err := newPages(blockTokens, bytesPerToken, capacityBytes, 0)
+	if err != nil {
+		return nil, err
 	}
-	if bytesPerToken <= 0 || capacityBytes <= 0 {
-		return nil, fmt.Errorf("kvcache: non-positive sizes")
-	}
-	blockBytes := float64(blockTokens) * bytesPerToken
-	total := int(capacityBytes / blockBytes)
-	return &Paged{
-		BlockTokens:   blockTokens,
-		BytesPerToken: bytesPerToken,
-		capacity:      capacityBytes,
-		totalBlocks:   total,
-		freeBlocks:    total,
-	}, nil
-}
-
-func (p *Paged) blocksFor(tokens int) int {
-	return (tokens + p.BlockTokens - 1) / p.BlockTokens
+	return &Paged{pg}, nil
 }
 
 // Alloc implements Allocator.
 func (p *Paged) Alloc(tokens int) (Seq, error) {
-	need := p.blocksFor(tokens)
-	if need > p.freeBlocks {
+	if !p.CanAlloc(tokens) {
 		return 0, ErrOutOfMemory
 	}
-	p.freeBlocks -= need
-	p.slackTokens += need*p.BlockTokens - tokens
-	return p.table.alloc(tokens, need), nil
-}
-
-// Extend implements Allocator.
-func (p *Paged) Extend(seq Seq, tokens int) error {
-	slot := p.table.lookup(seq)
-	if slot < 0 {
-		return fmt.Errorf("kvcache: unknown sequence %d", seq)
-	}
-	cur := p.table.tokens[slot]
-	if tokens < cur {
-		return fmt.Errorf("kvcache: cannot shrink sequence %d (%d -> %d)", seq, cur, tokens)
-	}
-	if tokens <= p.table.aux[slot]*p.BlockTokens {
-		// Still inside the last owned block — the common case of a
-		// decode window — so no block moves and no division is needed.
-		p.slackTokens -= tokens - cur
-		p.table.tokens[slot] = tokens
-		return nil
-	}
-	need := p.blocksFor(tokens) - p.table.aux[slot]
-	if need > p.freeBlocks {
-		return ErrOutOfMemory
-	}
-	p.freeBlocks -= need
-	p.slackTokens += need*p.BlockTokens - (tokens - cur)
-	p.table.tokens[slot] = tokens
-	p.table.aux[slot] += need
-	return nil
+	return p.allocSeq(tokens), nil
 }
 
 // Free implements Allocator.
-func (p *Paged) Free(seq Seq) {
-	slot := p.table.lookup(seq)
-	if slot < 0 {
-		return
-	}
-	blocks := p.table.aux[slot]
-	p.freeBlocks += blocks
-	p.slackTokens -= blocks*p.BlockTokens - p.table.tokens[slot]
-	p.table.release(slot)
-}
-
-// UsedBytes implements Allocator.
-func (p *Paged) UsedBytes() float64 {
-	used := p.totalBlocks - p.freeBlocks
-	return float64(used) * float64(p.BlockTokens) * p.BytesPerToken
-}
-
-// WasteBytes implements Allocator.
-func (p *Paged) WasteBytes() float64 {
-	return float64(p.slackTokens) * p.BytesPerToken
-}
-
-// CapacityBytes implements Allocator.
-func (p *Paged) CapacityBytes() float64 { return p.capacity }
+func (p *Paged) Free(seq Seq) { p.freeSeq(seq) }
 
 // CanAlloc implements Allocator.
-func (p *Paged) CanAlloc(tokens int) bool { return p.blocksFor(tokens) <= p.freeBlocks }
-
-// MaxExtendSteps implements Allocator in closed form: one pass over
-// seqs reads each sequence's headroom — the unwritten tokens of its
-// last block, aux·B − tokens — and headroom inverts the block demand
-// directly, with no search and no per-sequence division.
-func (p *Paged) MaxExtendSteps(seqs []Seq, limit int) int {
-	return p.room.maxExtendSteps(&p.table, seqs, p.BlockTokens, 0, p.freeBlocks, limit)
-}
-
-// Sequences returns the number of live sequences.
-func (p *Paged) Sequences() int { return p.table.live }
-
-// --- closed-form window headroom ------------------------------------------
-
-// headroom inverts the block demand of sequences advancing together,
-// for Paged and PrefixPaged alike. A sequence with headroom h (tokens
-// it can still write without a new block) needs ⌈(k − h)/B⌉ blocks
-// once k > h steps have passed, and none before. Writing h = a·B + b
-// and k = q·B + r (0 ≤ b, r < B), n sequences together need
-//
-//	demand(q·B + r) = Σ_{a ≤ q} (q − a) + #{a ≤ q, b < r}
-//
-// blocks. When every a is 0 (always for Paged) this is q·n + #{b < r},
-// so with F free blocks the answer is q·B + b₍R+1₎ for q = ⌊F/n⌋,
-// R = F − q·n, and b₍R+1₎ the (R+1)-th smallest b, read off a
-// histogram of b. Headrooms of a block or more (PrefixPaged sequences
-// still short of the shared prefix) wait in deep until q reaches
-// their a. The scratch is reused across calls, so a warm query
-// allocates nothing.
-type headroom struct {
-	hist []int // hist[b]: counted sequences with headroom ≡ b (mod B)
-	deep []int // headrooms ≥ B, not yet counted in hist
-}
-
-// maxExtendSteps implements MaxExtendSteps over a table whose
-// sequences each hold aux·b + shared − tokens tokens of headroom
-// (shared = 0 for Paged), with free blocks left in the pool.
-func (h *headroom) maxExtendSteps(t *seqTable, seqs []Seq, b, shared, free, limit int) int {
-	if limit <= 0 {
-		return 0
-	}
-	n := len(seqs)
-	if n == 0 || free/n*b >= limit {
-		// ⌊F/n⌋ more blocks each cover limit steps whatever the
-		// headrooms are, so only the handles need checking.
-		for _, s := range seqs {
-			if t.lookup(s) < 0 {
-				return 0
-			}
-		}
-		return limit
-	}
-	if cap(h.hist) < b {
-		h.hist = make([]int, b)
-	}
-	hist := h.hist[:b]
-	clear(hist)
-	h.deep = h.deep[:0]
-	for _, s := range seqs {
-		slot := t.lookup(s)
-		if slot < 0 {
-			return 0
-		}
-		if room := t.aux[slot]*b + shared - t.tokens[slot]; room < b {
-			hist[room]++
-		} else {
-			h.deep = append(h.deep, room)
-		}
-	}
-	m := n - len(h.deep) // sequences counted in hist
-	q, used := 0, 0      // whole blocks of steps, and demand(q·B)
-	slices.Sort(h.deep)
-	for i := 0; i < len(h.deep); {
-		a := h.deep[i] / b
-		if m > 0 && q+(free-used)/m < a {
-			break // the pool runs dry before these sequences need a block
-		}
-		used += m * (a - q)
-		q = a
-		for ; i < len(h.deep) && h.deep[i] < (a+1)*b; i++ {
-			hist[h.deep[i]-a*b]++
-			m++
-		}
-	}
-	step := (free - used) / m
-	q += step
-	rest := free - used - step*m // < m: blocks left for the partial block
-	r := 0
-	for seen := hist[0]; seen <= rest; seen += hist[r] {
-		r++
-	}
-	if k := q*b + r; k < limit {
-		return k
-	}
-	return limit
-}
+func (p *Paged) CanAlloc(tokens int) bool { return p.privateBlocks(tokens) <= p.freeBlocks }
 
 // --- Monolithic allocator ----------------------------------------------
 
@@ -443,6 +301,43 @@ func (m *Monolithic) MaxExtendSteps(seqs []Seq, limit int) int {
 			return 0
 		}
 		if room := m.ReserveTokens - m.table.tokens[slot]; room < max {
+			max = room
+		}
+	}
+	if max < 0 {
+		return 0
+	}
+	return max
+}
+
+// Advance implements Allocator with one pass over the slot table:
+// growth within a reservation never allocates, so the advance fits
+// when the longest live sequence stays within ReserveTokens.
+func (m *Monolithic) Advance(k int) error {
+	if k < 0 {
+		return fmt.Errorf("kvcache: cannot advance by %d tokens", k)
+	}
+	if m.AdvanceSteps(k) < k {
+		return ErrOutOfMemory
+	}
+	for slot, g := range m.table.gen {
+		if g&1 == 1 {
+			m.table.tokens[slot] += k
+		}
+	}
+	m.writtenTokens += m.table.live * k
+	return nil
+}
+
+// AdvanceSteps implements Allocator: the smallest remaining headroom
+// below ReserveTokens over the live slots.
+func (m *Monolithic) AdvanceSteps(limit int) int {
+	if limit <= 0 {
+		return 0
+	}
+	max := limit
+	for slot, g := range m.table.gen {
+		if room := m.ReserveTokens - m.table.tokens[slot]; g&1 == 1 && room < max {
 			max = room
 		}
 	}

@@ -25,84 +25,46 @@ var ErrPrefixTooLarge = errors.New("kvcache: shared prefix exceeds the block bud
 // configured shared prefix (the serving pattern where one system
 // prompt fronts every request).
 type PrefixPaged struct {
-	BlockTokens   int
-	BytesPerToken float64
 	// PrefixTokens is the shared prompt length; its ⌊/BlockTokens⌋
 	// full blocks are stored once.
 	PrefixTokens int
 
-	capacity     float64
-	totalBlocks  int
-	freeBlocks   int
-	sharedTokens int // tokens in the shared prefix's full blocks
-	prefixBlocks int // full blocks of the shared prefix
+	prefixBlocks int // full blocks of the shared prefix, while materialised
 	prefixRef    int // sequences currently referencing them
-	slackTokens  int // private reserved-but-unwritten tokens
-	table        seqTable
-	room         headroom // reused by MaxExtendSteps
+	pages            // private blocks past the shared full blocks
 }
 
 // NewPrefixPaged creates the allocator. The shared prefix's blocks are
 // allocated lazily with the first sequence and released when the last
 // reference drops.
 func NewPrefixPaged(blockTokens, prefixTokens int, bytesPerToken, capacityBytes float64) (*PrefixPaged, error) {
-	if blockTokens <= 0 {
-		return nil, fmt.Errorf("kvcache: block size %d must be positive", blockTokens)
-	}
 	if prefixTokens < 0 {
 		return nil, errors.New("kvcache: negative prefix length")
 	}
-	if bytesPerToken <= 0 || capacityBytes <= 0 {
-		return nil, errors.New("kvcache: non-positive sizes")
+	shared := 0
+	if blockTokens > 0 {
+		shared = prefixTokens / blockTokens * blockTokens
 	}
-	blockBytes := float64(blockTokens) * bytesPerToken
-	total := int(capacityBytes / blockBytes)
-	if pb := prefixTokens / blockTokens; pb > total {
+	pg, err := newPages(blockTokens, bytesPerToken, capacityBytes, shared)
+	if err != nil {
+		return nil, err
+	}
+	if pb := shared / blockTokens; pb > pg.totalBlocks {
 		return nil, fmt.Errorf("%w: prefix of %d tokens needs %d full blocks of %d, but %g bytes hold only %d blocks",
-			ErrPrefixTooLarge, prefixTokens, pb, blockTokens, capacityBytes, total)
+			ErrPrefixTooLarge, prefixTokens, pb, blockTokens, capacityBytes, pg.totalBlocks)
 	}
-	return &PrefixPaged{
-		BlockTokens:   blockTokens,
-		BytesPerToken: bytesPerToken,
-		PrefixTokens:  prefixTokens,
-		capacity:      capacityBytes,
-		totalBlocks:   total,
-		freeBlocks:    total,
-		sharedTokens:  prefixTokens / blockTokens * blockTokens,
-	}, nil
+	return &PrefixPaged{PrefixTokens: prefixTokens, pages: pg}, nil
 }
 
 func (p *PrefixPaged) sharedFullBlocks() int { return p.PrefixTokens / p.BlockTokens }
-
-// privateBlocksFor returns the private blocks a sequence of the given
-// total length needs: everything beyond the shared full blocks.
-func (p *PrefixPaged) privateBlocksFor(tokens int) int {
-	if tokens <= p.sharedTokens {
-		return 0
-	}
-	rest := tokens - p.sharedTokens
-	return (rest + p.BlockTokens - 1) / p.BlockTokens
-}
-
-// privateSlack is one sequence's reserved-but-unwritten private
-// tokens: private block capacity minus the tokens beyond the shared
-// prefix.
-func (p *PrefixPaged) privateSlack(tokens, private int) int {
-	privTokens := tokens - p.sharedTokens
-	if privTokens < 0 {
-		privTokens = 0
-	}
-	return private*p.BlockTokens - privTokens
-}
 
 // needFor returns the blocks a new sequence of the given length must
 // draw from the free list: its private blocks, plus the shared
 // prefix's full blocks when this allocation would materialise them.
 // Alloc and CanAlloc both price through it, so the admission check
-// and the allocation can never disagree (they used to duplicate the
-// materialisation branch).
+// and the allocation can never disagree.
 func (p *PrefixPaged) needFor(tokens int) int {
-	need := p.privateBlocksFor(tokens)
+	need := p.privateBlocks(tokens)
 	if p.prefixRef == 0 {
 		need += p.sharedFullBlocks() // first reference materialises the prefix
 	}
@@ -111,60 +73,22 @@ func (p *PrefixPaged) needFor(tokens int) int {
 
 // Alloc implements Allocator. tokens includes the shared prefix.
 func (p *PrefixPaged) Alloc(tokens int) (Seq, error) {
-	need := p.needFor(tokens)
-	if need > p.freeBlocks {
+	if p.needFor(tokens) > p.freeBlocks {
 		return 0, ErrOutOfMemory
 	}
 	if p.prefixRef == 0 {
 		p.prefixBlocks = p.sharedFullBlocks()
 		p.freeBlocks -= p.prefixBlocks
-		need -= p.prefixBlocks
 	}
-	p.freeBlocks -= need
 	p.prefixRef++
-	p.slackTokens += p.privateSlack(tokens, need)
-	return p.table.alloc(tokens, need), nil
-}
-
-// Extend implements Allocator.
-func (p *PrefixPaged) Extend(seq Seq, tokens int) error {
-	slot := p.table.lookup(seq)
-	if slot < 0 {
-		return fmt.Errorf("kvcache: unknown sequence %d", seq)
-	}
-	cur := p.table.tokens[slot]
-	if tokens < cur {
-		return fmt.Errorf("kvcache: cannot shrink sequence %d", seq)
-	}
-	private := p.table.aux[slot]
-	if tokens <= private*p.BlockTokens+p.sharedTokens {
-		// Still inside the last private block (or the shared prefix):
-		// no block moves, as in Paged.Extend.
-		p.slackTokens += p.privateSlack(tokens, private) - p.privateSlack(cur, private)
-		p.table.tokens[slot] = tokens
-		return nil
-	}
-	need := p.privateBlocksFor(tokens) - private
-	if need > p.freeBlocks {
-		return ErrOutOfMemory
-	}
-	p.freeBlocks -= need
-	p.slackTokens += p.privateSlack(tokens, private+need) - p.privateSlack(cur, private)
-	p.table.tokens[slot] = tokens
-	p.table.aux[slot] = private + need
-	return nil
+	return p.allocSeq(tokens), nil
 }
 
 // Free implements Allocator.
 func (p *PrefixPaged) Free(seq Seq) {
-	slot := p.table.lookup(seq)
-	if slot < 0 {
+	if !p.freeSeq(seq) {
 		return
 	}
-	private := p.table.aux[slot]
-	p.freeBlocks += private
-	p.slackTokens -= p.privateSlack(p.table.tokens[slot], private)
-	p.table.release(slot)
 	p.prefixRef--
 	if p.prefixRef == 0 {
 		p.freeBlocks += p.prefixBlocks
@@ -172,38 +96,10 @@ func (p *PrefixPaged) Free(seq Seq) {
 	}
 }
 
-// UsedBytes implements Allocator.
-func (p *PrefixPaged) UsedBytes() float64 {
-	used := p.totalBlocks - p.freeBlocks
-	return float64(used) * float64(p.BlockTokens) * p.BytesPerToken
-}
-
-// WasteBytes implements Allocator: per-sequence partial-block slack,
-// computed over private storage only (the shared blocks are full).
-func (p *PrefixPaged) WasteBytes() float64 {
-	return float64(p.slackTokens) * p.BytesPerToken
-}
-
-// CapacityBytes implements Allocator.
-func (p *PrefixPaged) CapacityBytes() float64 { return p.capacity }
-
 // CanAlloc implements Allocator.
 func (p *PrefixPaged) CanAlloc(tokens int) bool {
 	return p.needFor(tokens) <= p.freeBlocks
 }
-
-// MaxExtendSteps implements Allocator: like Paged, but demand counts
-// private blocks only (the shared prefix never grows), so a
-// sequence's headroom also covers the shared-prefix tokens it has not
-// reached yet — a block or more only for contexts shorter than the
-// shared full blocks, which replayed traces can produce. headroom
-// resolves those exactly.
-func (p *PrefixPaged) MaxExtendSteps(seqs []Seq, limit int) int {
-	return p.room.maxExtendSteps(&p.table, seqs, p.BlockTokens, p.sharedTokens, p.freeBlocks, limit)
-}
-
-// Sequences returns the number of live sequences.
-func (p *PrefixPaged) Sequences() int { return p.table.live }
 
 // SharedBytes reports the storage the shared prefix occupies (once).
 func (p *PrefixPaged) SharedBytes() float64 {

@@ -338,6 +338,12 @@ func (t *Tiered) CanAlloc(tokens int) bool { return t.gpu.CanAlloc(tokens) }
 // MaxExtendSteps implements Allocator.
 func (t *Tiered) MaxExtendSteps(seqs []Seq, limit int) int { return t.gpu.MaxExtendSteps(seqs, limit) }
 
+// Advance implements Allocator.
+func (t *Tiered) Advance(k int) error { return t.gpu.Advance(k) }
+
+// AdvanceSteps implements Allocator.
+func (t *Tiered) AdvanceSteps(limit int) int { return t.gpu.AdvanceSteps(limit) }
+
 // Sequences returns the number of live sequences.
 func (t *Tiered) Sequences() int { return t.gpu.Sequences() }
 
