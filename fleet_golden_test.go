@@ -147,8 +147,7 @@ func TestFleetShapeGoldens(t *testing.T) {
 		for _, rate := range []float64{10, 40} {
 			st, err := ServeAutoscale(AutoscaleConfig{
 				System:   System{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM"},
-				MaxBatch: 32, MinReplicas: 1, MaxReplicas: 4,
-				UpOutstanding: 64, DownIdleS: 3, CooldownS: 1,
+				MaxBatch: 32, MaxReplicas: 4,
 				Seed: 42, Requests: 200, RatePerSec: rate,
 				InputMean: 512, OutputMean: 128,
 				BurstFactor: 4, BurstLenS: 4,

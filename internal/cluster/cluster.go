@@ -155,38 +155,65 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 	if len(cfg.Replicas) == 0 {
 		return Stats{}, errors.New("cluster: no replicas")
 	}
+	for i, r := range cfg.Replicas {
+		if r.Engine == nil || r.Alloc == nil {
+			return Stats{}, fmt.Errorf("cluster: replica %d incomplete", i)
+		}
+	}
+	if cfg.PrefillReplicas > 0 {
+		switch {
+		case cfg.PrefillReplicas >= len(cfg.Replicas):
+			return Stats{}, fmt.Errorf("cluster: PrefillReplicas %d leaves no decode replicas (fleet of %d)",
+				cfg.PrefillReplicas, len(cfg.Replicas))
+		case cfg.Static:
+			return Stats{}, errors.New("cluster: static batching does not compose with disaggregation (the decode pool needs iteration-level admission)")
+		case cfg.ChunkedPrefill:
+			return Stats{}, errors.New("cluster: chunked prefill does not compose with disaggregation (the prefill pool hands off whole prompts)")
+		}
+		if err := cfg.Transfer.Validate(); err != nil {
+			return Stats{}, fmt.Errorf("cluster: %w", err)
+		}
+	}
+	return run(cfg, reqs, func(k *des.Kernel) error {
+		stations := make([]*des.Station, len(cfg.Replicas))
+		for i, r := range cfg.Replicas {
+			role := des.RoleBoth
+			if cfg.PrefillReplicas > 0 {
+				role = des.RolePrefill
+				if i >= cfg.PrefillReplicas {
+					role = des.RoleDecode
+				}
+			}
+			stations[i] = k.NewPoolStation(r.Engine, r.Alloc, role)
+		}
+		if cfg.PrefillReplicas == 0 {
+			k.Route = poolRouter(cfg, stations)
+			return nil
+		}
+		// Arrivals route within the prefill pool, kv-transfer
+		// deliveries within the decode pool — each with its own router
+		// state, under the one configured policy.
+		k.Route = poolRouter(cfg, stations[:cfg.PrefillReplicas])
+		k.RouteTransfer = poolRouter(cfg, stations[cfg.PrefillReplicas:])
+		return nil
+	})
+}
+
+// run is the kernel body Serve and ServeAutoscale share: the checks
+// common to every fleet, one kernel configured from cfg, place (which
+// adds the stations and installs the router and any scale-tick
+// handler), the optional streaming sink, the run itself and the
+// summary.
+func run(cfg Config, reqs []workload.Request, place func(k *des.Kernel) error) (Stats, error) {
 	if cfg.MaxBatch < 1 {
 		return Stats{}, errors.New("cluster: MaxBatch must be ≥ 1")
 	}
 	if len(reqs) == 0 {
 		return Stats{}, errors.New("cluster: empty trace")
 	}
-	for i, r := range cfg.Replicas {
-		if r.Engine == nil || r.Alloc == nil {
-			return Stats{}, fmt.Errorf("cluster: replica %d incomplete", i)
-		}
+	if cfg.ChunkedPrefill && cfg.Static {
+		return Stats{}, errors.New("cluster: chunked prefill does not compose with static batching (no iteration-level admission to fuse slices into)")
 	}
-	if cfg.ChunkedPrefill {
-		if cfg.Static {
-			return Stats{}, errors.New("cluster: chunked prefill does not compose with static batching (no iteration-level admission to fuse slices into)")
-		}
-		if cfg.PrefillReplicas > 0 {
-			return Stats{}, errors.New("cluster: chunked prefill does not compose with disaggregation (the prefill pool hands off whole prompts)")
-		}
-	}
-	if cfg.PrefillReplicas > 0 {
-		if cfg.PrefillReplicas >= len(cfg.Replicas) {
-			return Stats{}, fmt.Errorf("cluster: PrefillReplicas %d leaves no decode replicas (fleet of %d)",
-				cfg.PrefillReplicas, len(cfg.Replicas))
-		}
-		if cfg.Static {
-			return Stats{}, errors.New("cluster: static batching does not compose with disaggregation (the decode pool needs iteration-level admission)")
-		}
-		if err := cfg.Transfer.Validate(); err != nil {
-			return Stats{}, fmt.Errorf("cluster: %w", err)
-		}
-	}
-
 	k := des.New(des.Config{
 		MaxBatch:       cfg.MaxBatch,
 		ChunkedPrefill: cfg.ChunkedPrefill,
@@ -197,33 +224,10 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 	})
 	k.Reuse(cfg.Scratch)
 	defer k.Release()
-	stations := make([]*des.Station, len(cfg.Replicas))
-	if cfg.PrefillReplicas > 0 {
-		for i, r := range cfg.Replicas {
-			role := des.RolePrefill
-			if i >= cfg.PrefillReplicas {
-				role = des.RoleDecode
-			}
-			stations[i] = k.NewPoolStation(r.Engine, r.Alloc, role)
-		}
-		// Arrivals route within the prefill pool, kv-transfer
-		// deliveries within the decode pool — each with its own router
-		// state, under the one configured policy.
-		k.Route = poolRouter(cfg, stations[:cfg.PrefillReplicas])
-		k.RouteTransfer = poolRouter(cfg, stations[cfg.PrefillReplicas:])
-	} else {
-		for i, r := range cfg.Replicas {
-			stations[i] = k.NewStation(r.Engine, r.Alloc)
-		}
-		k.Route = poolRouter(cfg, stations)
+	if err := place(k); err != nil {
+		return Stats{}, err
 	}
-
-	var agg sched.Aggregator
-	if cfg.Streaming {
-		stream := sched.NewStreamAggregator()
-		agg = stream
-		k.Sink = stream.Observe
-	}
+	agg := sched.Attach(k, cfg.Streaming)
 	res, err := k.Run(reqs)
 	if err != nil {
 		return Stats{}, fmt.Errorf("cluster: %w", err)
@@ -231,7 +235,20 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 	if res.Completed != len(reqs) {
 		return Stats{}, fmt.Errorf("cluster: only %d of %d requests completed", res.Completed, len(reqs))
 	}
-	return assemble(res, agg)
+	stats, err := sched.Collect(res, agg)
+	if err != nil {
+		return Stats{}, err
+	}
+	out := Stats{Stats: stats}
+	for _, ps := range res.PerStation {
+		out.PerReplica = append(out.PerReplica, ReplicaStats{
+			Completed:   ps.Completed,
+			BusyS:       ps.BusyS,
+			Util:        ps.BusyS / res.MakespanS,
+			Transferred: ps.Transferred,
+		})
+	}
+	return out, nil
 }
 
 // prefixStater is the allocator view the Prefix router scores with:
@@ -331,34 +348,4 @@ func poolRouter(cfg Config, group []*des.Station) func(now float64) *des.Station
 		}
 		return best
 	}
-}
-
-// assemble turns a kernel result into cluster Stats; agg, when
-// non-nil, is the streaming aggregator that consumed the completions
-// the ledger no longer holds.
-func assemble(res des.Result, agg sched.Aggregator) (Stats, error) {
-	var stats sched.Stats
-	var err error
-	if agg != nil {
-		stats, err = agg.Stats(res.MakespanS, res.Preemptions)
-	} else {
-		stats, err = sched.Summarize(res.Finished, res.MakespanS, res.Preemptions)
-	}
-	if err != nil {
-		return Stats{}, err
-	}
-	stats.MaxIterationS = res.MaxIterationS
-	if res.PromptTokens > 0 {
-		stats.CacheHitRate = float64(res.PrefixHitTokens) / float64(res.PromptTokens)
-	}
-	out := Stats{Stats: stats}
-	for _, ps := range res.PerStation {
-		out.PerReplica = append(out.PerReplica, ReplicaStats{
-			Completed:   ps.Completed,
-			BusyS:       ps.BusyS,
-			Util:        ps.BusyS / res.MakespanS,
-			Transferred: ps.Transferred,
-		})
-	}
-	return out, nil
 }

@@ -227,9 +227,8 @@ func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
 // DES kernel (internal/des via the root llmbench API):
 // /api/serve?model=…&device=…&framework=…&replicas=4&rate=20&requests=200
 // With autoscale=1 the fleet scales dynamically between 1 and
-// `replicas` instead of being fixed. Replicas advance on per-replica
-// goroutines bounded by the -j pool; Stats are byte-identical at any
-// parallelism, so the table below is reproducible.
+// `replicas` instead of being fixed. The kernel advances every replica
+// on the request's goroutine, so the table below is reproducible.
 func (s *server) serve(w http.ResponseWriter, r *http.Request) {
 	// Bounded knobs: serving simulations run on process-shared cached
 	// engines, so unbounded query parameters would let clients grow
@@ -267,8 +266,9 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request) {
 // series per replica count (per replica count × trace shape when the
 // shape axes are set):
 // /api/servesweep?model=…&device=…&framework=…&rates=5,10,20&replicas=1,2,4
-// Optional: maxbatch, requests, inmean, outmean, policy
-// (continuous|ll|prefix|static|static-ll|static-auto|autoscale), bursts
+// Optional: maxbatch, requests, inmean, outmean, policy (any form
+// llmbench.ParseServePolicy accepts, e.g. ll, prefix, static/ll,
+// auto, ll/disagg/1:3; default ll), bursts
 // (ChatTrace burst-factor axis, values ≥ 1), mixes ("in:out"
 // length-median axis, e.g. 512:128,2048:256), prefixshare (one share
 // in [0,1) of the input median spent on a fleet-wide shared system
@@ -389,32 +389,10 @@ func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		slo = v
 	}
-	var policy llmbench.ServePolicy
-	switch get("policy", "ll") {
-	case "continuous", "rr":
-		// zero value
-	case "ll", "least-loaded":
-		policy.LeastLoaded = true
-	case "prefix":
-		policy.Prefix = true
-	case "static":
-		policy.Static = true
-	case "static-ll":
-		policy.Static, policy.LeastLoaded = true, true
-	case "static-auto":
-		policy.Static, policy.Autoscale = true, true
-	case "autoscale", "auto":
-		policy.Autoscale = true
-	default:
-		// Anything beyond the select's short names — topology forms like
-		// "disagg/1:3" or "ll/disagg/2:6" — goes through the full policy
-		// grammar.
-		var perr error
-		policy, perr = llmbench.ParseServePolicy(get("policy", "ll"))
-		if perr != nil {
-			http.Error(w, "dashboard: "+perr.Error(), http.StatusBadRequest)
-			return
-		}
+	policy, err := llmbench.ParseServePolicy(get("policy", "ll"))
+	if err != nil {
+		http.Error(w, "dashboard: "+err.Error(), http.StatusBadRequest)
+		return
 	}
 	pts, err := llmbench.ServeSweep(llmbench.ServeSweepConfig{
 		System: llmbench.System{
@@ -671,9 +649,7 @@ func (s *server) serveSim(w http.ResponseWriter, p serveParams) {
 	var stats llmbench.ClusterStats
 	if p.autoscale {
 		auto, err := llmbench.ServeAutoscale(llmbench.AutoscaleConfig{
-			System: p.sys, MaxBatch: p.maxBatch,
-			MinReplicas: 1, MaxReplicas: p.replicas,
-			UpOutstanding: 2 * p.maxBatch, DownIdleS: 3, CooldownS: 1,
+			System: p.sys, MaxBatch: p.maxBatch, MaxReplicas: p.replicas,
 			Seed: 42, Requests: p.requests, RatePerSec: p.rate,
 			InputMean: p.inMean, OutputMean: p.outMean,
 			BurstFactor: 4, BurstLenS: 4,
@@ -809,8 +785,8 @@ const indexHTML = `<!DOCTYPE html>
   <option value="prefix">continuous/prefix-affinity</option>
   <option value="autoscale">autoscale</option>
   <option value="static">static/round-robin</option>
-  <option value="static-ll">static/least-loaded</option>
-  <option value="static-auto">static autoscale</option>
+  <option value="static/ll">static/least-loaded</option>
+  <option value="static/auto">static autoscale</option>
   <option value="disagg/1:3">disagg 1:3 (prefill:decode)</option>
   <option value="ll/disagg/1:3">disagg 1:3/least-loaded</option>
   <option value="ll/disagg/2:2">disagg 2:2/least-loaded</option>

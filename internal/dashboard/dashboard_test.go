@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -461,5 +462,33 @@ func TestServeSweepTraceErrorsQuoteNothing(t *testing.T) {
 		if strings.Contains(string(body), "secret-marker") {
 			t.Errorf("%s: error body leaks file content: %s", filepath.Base(path), body)
 		}
+	}
+}
+
+// TestServeSweepPolicyOptionsParse: every option the page's policy
+// select offers parses with the one policy grammar the endpoint uses,
+// and a static/least-loaded sweep runs.
+func TestServeSweepPolicyOptionsParse(t *testing.T) {
+	sel := indexHTML[strings.Index(indexHTML, `<select id="ss-policy">`):]
+	sel = sel[:strings.Index(sel, "</select>")]
+	opts := regexp.MustCompile(`<option value="([^"]*)"`).FindAllStringSubmatch(sel, -1)
+	if len(opts) == 0 {
+		t.Fatal("ss-policy select has no options")
+	}
+	for _, o := range opts {
+		if _, err := llmbench.ParseServePolicy(o[1]); err != nil {
+			t.Errorf("ss-policy option %q does not parse: %v", o[1], err)
+		}
+	}
+
+	srv := httptest.NewServer(Handler(2))
+	defer srv.Close()
+	res, err := http.Get(srv.URL + "/api/servesweep?policy=static/ll&rates=5&replicas=2&requests=20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Errorf("policy=static/ll: status %d, want 200", res.StatusCode)
 	}
 }

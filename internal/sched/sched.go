@@ -162,18 +162,36 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 	k.Reuse(cfg.Scratch)
 	defer k.Release()
 	k.NewStation(cfg.Engine, cfg.Alloc)
-	var agg Aggregator
-	if cfg.Streaming {
-		stream := NewStreamAggregator()
-		agg = stream
-		k.Sink = stream.Observe
-	}
+	agg := Attach(k, cfg.Streaming)
 	res, err := k.Run(reqs)
 	if err != nil {
 		return Stats{}, fmt.Errorf("sched: %w", err)
 	}
+	return Collect(res, agg)
+}
+
+// Attach points the kernel's completion sink at a fresh
+// StreamAggregator when streaming and returns it for Collect; an exact
+// run keeps the ledger and gets nil.
+func Attach(k *des.Kernel, streaming bool) Aggregator {
+	if !streaming {
+		return nil
+	}
+	stream := NewStreamAggregator()
+	k.Sink = stream.Observe
+	return stream
+}
+
+// Collect summarizes a kernel run — from agg, the aggregator Attach
+// returned, when streaming, otherwise exactly from the ledger — and
+// adds the kernel-level figures: the longest iteration and the
+// prefix-cache hit rate. It is the one summary tail behind the
+// single-replica scheduler and the cluster simulators
+// (internal/cluster).
+func Collect(res des.Result, agg Aggregator) (Stats, error) {
 	var stats Stats
-	if cfg.Streaming {
+	var err error
+	if agg != nil {
 		stats, err = agg.Stats(res.MakespanS, res.Preemptions)
 	} else {
 		stats, err = Summarize(res.Finished, res.MakespanS, res.Preemptions)

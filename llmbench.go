@@ -37,7 +37,7 @@
 //	    Rates:    []float64{5, 10, 20, 40},
 //	    Replicas: []int{1, 2, 4},
 //	})
-//	knees := llmbench.Knees(pts, 6.0 /* p99 SLO seconds */)
+//	knees, err := llmbench.Knees(pts, 6.0 /* p99 SLO seconds */)
 //
 // All fan-out APIs (Sweep, ServeSweep, RunExperiments, Report,
 // VerifyAnchors) are deterministic: results are ordered by
@@ -403,15 +403,6 @@ func servingKVBudget(sys System, budgetGiB float64) (float64, error) {
 	return free, nil
 }
 
-// servingAlloc builds one replica's private paged-KV allocator.
-func servingAlloc(sys System, budget float64) (kvcache.Allocator, error) {
-	m, err := model.Get(sys.Model)
-	if err != nil {
-		return nil, err
-	}
-	return kvcache.NewPaged(16, m.KVBytesPerToken(dtype.FP16), budget)
-}
-
 // ErrHostLink marks a device whose device↔host link description
 // cannot price tier restores: zero, negative, NaN, or infinite
 // bandwidth or latency would produce Inf/NaN restore times in the
@@ -437,13 +428,14 @@ func hostLinkFor(devName string, d *hw.Device) (kvcache.HostLink, error) {
 	}, nil
 }
 
-// servingPrefixAlloc builds one replica's tiered prefix-sharing
-// allocator for shared-prefix serving points: a PrefixPaged device
-// pool fronting a host tier sized by hostBudget bytes, with restores
-// priced over the device's host link. A prefix shorter than one
-// 16-token block shares nothing, so the plain paged allocator is used
-// (keeping those points byte-identical to non-prefix runs).
-func servingPrefixAlloc(sys System, budget, hostBudget float64, prefixTokens int) (kvcache.Allocator, error) {
+// servingAlloc builds one replica's private KV allocator: 16-token
+// fp16 paged blocks over budget bytes. A shared prefix of at least one
+// block (prefixTokens ≥ 16) gets a tiered prefix-sharing allocator
+// instead — a PrefixPaged device pool fronting a host tier sized by
+// hostBudget bytes, with restores priced over the device's host link.
+// A shorter prefix shares nothing, so it keeps the plain paged
+// allocator and those points stay byte-identical to non-prefix runs.
+func servingAlloc(sys System, budget, hostBudget float64, prefixTokens int) (kvcache.Allocator, error) {
 	m, err := model.Get(sys.Model)
 	if err != nil {
 		return nil, err
@@ -542,7 +534,7 @@ func Serve(cfg ServeConfig) (ServeStats, error) {
 	if err != nil {
 		return ServeStats{}, err
 	}
-	alloc, err := servingAlloc(cfg.System, budget)
+	alloc, err := servingAlloc(cfg.System, budget, 0, 0)
 	if err != nil {
 		return ServeStats{}, err
 	}
@@ -612,14 +604,6 @@ func ServeCluster(cfg ClusterConfig) (ClusterStats, error) {
 	if err != nil {
 		return ClusterStats{}, err
 	}
-	replicas := make([]cluster.Replica, cfg.Replicas)
-	for i := range replicas {
-		alloc, err := servingAlloc(cfg.System, budget)
-		if err != nil {
-			return ClusterStats{}, err
-		}
-		replicas[i] = cluster.Replica{Engine: eng, Alloc: alloc}
-	}
 	trace, err := serveTrace(cfg.Trace, workload.TraceConfig{
 		Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
 		InputMean: cfg.InputMean, OutputMean: cfg.OutputMean,
@@ -627,19 +611,18 @@ func ServeCluster(cfg ClusterConfig) (ClusterStats, error) {
 	if err != nil {
 		return ClusterStats{}, err
 	}
-	policy := cluster.RoundRobin
-	if cfg.LeastLoaded {
-		policy = cluster.LeastLoaded
-	}
-	return cluster.Serve(cluster.Config{
-		Replicas: replicas, Policy: policy, MaxBatch: cfg.MaxBatch,
-		Static: cfg.Static, Streaming: cfg.Streaming,
+	st, err := runFleet(fleet{
+		sys: cfg.System, eng: eng, budget: budget,
+		policy:   ServePolicy{Static: cfg.Static, LeastLoaded: cfg.LeastLoaded},
+		replicas: cfg.Replicas, maxBatch: cfg.MaxBatch, streaming: cfg.Streaming,
 	}, trace)
+	return st.Stats, err
 }
 
 // AutoscaleConfig parameterises a dynamic-capacity serving
 // simulation: replicas of a System are added under queue pressure and
-// retired when idle, between MinReplicas and MaxReplicas.
+// retired when idle, between one replica and MaxReplicas, under the
+// fixed tuning every autoscaled fleet shares (see autoscaleMin).
 type AutoscaleConfig struct {
 	System      System
 	MaxBatch    int // per replica
@@ -649,14 +632,8 @@ type AutoscaleConfig struct {
 	// scale-tick policy is unchanged.
 	Static bool
 
-	// MinReplicas..MaxReplicas bound the capacity; UpOutstanding,
-	// DownIdleS, and CooldownS tune the policy (see
-	// cluster.Autoscale).
-	MinReplicas   int
-	MaxReplicas   int
-	UpOutstanding int
-	DownIdleS     float64
-	CooldownS     float64
+	// MaxReplicas is the capacity ceiling.
+	MaxReplicas int
 
 	// Trace, when non-empty, replays a recorded trace (see ReadTrace)
 	// instead of synthesizing arrivals; the synthesis parameters below
@@ -686,7 +663,7 @@ type AutoscaleConfig struct {
 type AutoscaleStats = cluster.AutoStats
 
 // ServeAutoscale simulates a deployment with dynamic replica capacity
-// (see internal/cluster): the fleet starts at MinReplicas and the
+// (see internal/cluster): the fleet starts at one replica and the
 // scale-tick policy grows or shrinks it as load changes.
 func ServeAutoscale(cfg AutoscaleConfig) (AutoscaleStats, error) {
 	eng, err := CachedEngine(cfg.System)
@@ -697,13 +674,6 @@ func ServeAutoscale(cfg AutoscaleConfig) (AutoscaleStats, error) {
 	if err != nil {
 		return AutoscaleStats{}, err
 	}
-	factory := func() (cluster.Replica, error) {
-		alloc, err := servingAlloc(cfg.System, budget)
-		if err != nil {
-			return cluster.Replica{}, err
-		}
-		return cluster.Replica{Engine: eng, Alloc: alloc}, nil
-	}
 	trace, err := serveTrace(cfg.Trace, workload.TraceConfig{
 		Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
 		InputMean: cfg.InputMean, OutputMean: cfg.OutputMean,
@@ -711,14 +681,95 @@ func ServeAutoscale(cfg AutoscaleConfig) (AutoscaleStats, error) {
 	if err != nil {
 		return AutoscaleStats{}, err
 	}
-	return cluster.ServeAutoscale(
-		cluster.Config{MaxBatch: cfg.MaxBatch, Static: cfg.Static, Streaming: cfg.Streaming},
-		cluster.Autoscale{
-			Factory:       factory,
-			Min:           cfg.MinReplicas,
-			Max:           cfg.MaxReplicas,
-			UpOutstanding: cfg.UpOutstanding,
-			DownIdleS:     cfg.DownIdleS,
-			CooldownS:     cfg.CooldownS,
+	return runFleet(fleet{
+		sys: cfg.System, eng: eng, budget: budget,
+		policy:   ServePolicy{Static: cfg.Static, Autoscale: true},
+		replicas: cfg.MaxReplicas, maxBatch: cfg.MaxBatch, streaming: cfg.Streaming,
+	}, trace)
+}
+
+// The autoscale tuning every autoscaled fleet — ServeAutoscale and
+// ServeSweep points whose policy sets Autoscale — runs under: the fleet
+// starts at autoscaleMin replicas and adds one when the mean
+// outstanding requests per active replica exceed autoscaleUpPerBatch ×
+// MaxBatch, at most once per autoscaleCooldownS seconds; it retires an
+// empty replica at most once per autoscaleDownIdleS seconds, when the
+// rest would run at under half that threshold (see cluster.Autoscale).
+const (
+	autoscaleMin        = 1
+	autoscaleUpPerBatch = 2
+	autoscaleDownIdleS  = 3
+	autoscaleCooldownS  = 1
+)
+
+// fleet is one resolved multi-replica deployment: what runFleet needs
+// to build the replicas and run them on internal/cluster.
+type fleet struct {
+	sys    System         // catalog names for the allocators and transfer pricing
+	eng    *engine.Engine // shared by every replica
+	budget float64        // per-replica KV bytes
+	policy ServePolicy
+	// replicas is the fleet size, or the capacity ceiling when
+	// policy.Autoscale is set.
+	replicas int
+	maxBatch int
+	// prefixTokens ≥ 16 gives every replica a tiered prefix-sharing
+	// allocator with hostBudget bytes of host tier (see servingAlloc).
+	prefixTokens   int
+	hostBudget     float64
+	chunkedPrefill bool
+	prefillChunk   int
+	streaming      bool
+	scratch        *des.Scratch
+}
+
+// runFleet builds f's replicas — or, when autoscaling, their factory —
+// and runs the trace on internal/cluster: the one assembly path behind
+// ServeCluster, ServeAutoscale and every ServeSweep point. All replicas
+// share the one engine while each owns a private KV allocator. Fixed
+// fleets report no scale events and PeakReplicas 0.
+func runFleet(f fleet, trace []workload.Request) (cluster.AutoStats, error) {
+	newReplica := func() (cluster.Replica, error) {
+		alloc, err := servingAlloc(f.sys, f.budget, f.hostBudget, f.prefixTokens)
+		return cluster.Replica{Engine: f.eng, Alloc: alloc}, err
+	}
+	cfg := cluster.Config{
+		Policy: routePolicy(f.policy), MaxBatch: f.maxBatch, Static: f.policy.Static,
+		ChunkedPrefill: f.chunkedPrefill, PrefillChunk: f.prefillChunk,
+		Streaming: f.streaming, Scratch: f.scratch,
+	}
+	if f.policy.Autoscale {
+		return cluster.ServeAutoscale(cfg, cluster.Autoscale{
+			Factory: newReplica, Min: autoscaleMin, Max: f.replicas,
+			UpOutstanding: autoscaleUpPerBatch * f.maxBatch,
+			DownIdleS:     autoscaleDownIdleS, CooldownS: autoscaleCooldownS,
 		}, trace)
+	}
+	if f.policy.Disagg() {
+		// The policy's pool split is a ratio: the fleet must divide
+		// evenly into PrefillPool+DecodePool shares. Checked before
+		// allocators are built — the divisibility failure is the common
+		// user error.
+		share := f.policy.PrefillPool + f.policy.DecodePool
+		if f.replicas%share != 0 {
+			return cluster.AutoStats{}, fmt.Errorf("llmbench: disagg split %d:%d needs a fleet divisible by %d (got %d replicas)",
+				f.policy.PrefillPool, f.policy.DecodePool, share, f.replicas)
+		}
+		tc, err := transferCost(f.sys)
+		if err != nil {
+			return cluster.AutoStats{}, err
+		}
+		cfg.PrefillReplicas = f.replicas / share * f.policy.PrefillPool
+		cfg.Transfer = tc
+	}
+	cfg.Replicas = make([]cluster.Replica, f.replicas)
+	for i := range cfg.Replicas {
+		rep, err := newReplica()
+		if err != nil {
+			return cluster.AutoStats{}, err
+		}
+		cfg.Replicas[i] = rep
+	}
+	st, err := cluster.Serve(cfg, trace)
+	return cluster.AutoStats{Stats: st}, err
 }

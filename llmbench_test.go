@@ -131,8 +131,7 @@ func TestInvalidKVBudgetRejected(t *testing.T) {
 		t.Errorf("ServeCluster: want invalid-budget error, got %v", err)
 	}
 	if _, err := ServeAutoscale(AutoscaleConfig{
-		System: sys, MaxBatch: 8, KVBudgetGiB: -2,
-		MinReplicas: 1, MaxReplicas: 2, UpOutstanding: 8, DownIdleS: 3, CooldownS: 1,
+		System: sys, MaxBatch: 8, KVBudgetGiB: -2, MaxReplicas: 2,
 		Requests: 4, RatePerSec: 1, InputMean: 128, OutputMean: 32,
 	}); err == nil || !strings.Contains(err.Error(), "invalid KV budget") {
 		t.Errorf("ServeAutoscale: want invalid-budget error, got %v", err)
@@ -196,10 +195,10 @@ func TestServeClusterPercentilesOrdered(t *testing.T) {
 
 func TestServeAutoscaleFacade(t *testing.T) {
 	stats, err := ServeAutoscale(AutoscaleConfig{
-		System:      System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
-		MaxBatch:    16,
-		MinReplicas: 1, MaxReplicas: 4,
-		UpOutstanding: 8, DownIdleS: 3, CooldownS: 1,
+		System: System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
+		// MaxBatch 4 puts the fixed scale-up threshold (2×MaxBatch
+		// outstanding per replica) at 8, low enough for this burst.
+		MaxBatch: 4, MaxReplicas: 4,
 		Seed: 9, Requests: 120, RatePerSec: 12, InputMean: 384, OutputMean: 96,
 		BurstFactor: 5, BurstLenS: 4,
 	})

@@ -11,7 +11,6 @@ import (
 	"llmbench/internal/cluster"
 	"llmbench/internal/des"
 	"llmbench/internal/engine"
-	"llmbench/internal/kvcache"
 	"llmbench/internal/pool"
 	"llmbench/internal/workload"
 )
@@ -38,11 +37,11 @@ type ServePolicy struct {
 	// allocators (no PrefixShares axis) it degrades to least-loaded.
 	// Mutually exclusive with LeastLoaded.
 	Prefix bool
-	// Autoscale grows the fleet from 1 replica up to the point's
-	// replica count under queue pressure instead of holding it fixed
-	// (see ServeAutoscale); the point's Replicas value becomes the
-	// capacity ceiling. The autoscaler always routes least-loaded, so
-	// LeastLoaded is ignored when Autoscale is set.
+	// Autoscale grows and shrinks the fleet under queue pressure
+	// instead of holding it fixed, with the tuning ServeAutoscale uses
+	// (defined once beside autoscaleMin); the point's Replicas value
+	// becomes the capacity ceiling. The autoscaler always routes
+	// least-loaded, so LeastLoaded is ignored when Autoscale is set.
 	Autoscale bool
 
 	// PrefillPool and DecodePool select the serving topology. Both
@@ -340,13 +339,6 @@ type ServeSweepConfig struct {
 	// byte-identical to the exact path; percentiles carry the sketch's
 	// documented ≤ 1% relative error. Implies LeanStats.
 	StreamStats bool
-
-	// Autoscale tuning for Policies with Autoscale set. Zero values
-	// mean UpOutstanding = 2×MaxBatch, DownIdleS = 3s, CooldownS = 1s
-	// (the dashboard's defaults).
-	UpOutstanding int
-	DownIdleS     float64
-	CooldownS     float64
 }
 
 // ReplicaStats re-exports the cluster's per-replica summary.
@@ -522,13 +514,11 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 		return a, fmt.Errorf("llmbench: bad serve trace shape (requests %d, input %d, output %d)",
 			cfg.Requests, cfg.InputMean, cfg.OutputMean)
 	}
-	// Negative tuning values would otherwise fail every autoscale
-	// point individually (via cluster.Autoscale.validate) or be
-	// silently replaced by the trace generator's default (BurstLenS):
-	// fail the whole call up front like every other base-config field.
-	if cfg.UpOutstanding < 0 || cfg.DownIdleS < 0 || cfg.CooldownS < 0 || cfg.BurstLenS < 0 || cfg.Sigma < 0 {
-		return a, fmt.Errorf("llmbench: negative serve tuning (UpOutstanding %d, DownIdleS %v, CooldownS %v, BurstLenS %v, Sigma %v)",
-			cfg.UpOutstanding, cfg.DownIdleS, cfg.CooldownS, cfg.BurstLenS, cfg.Sigma)
+	// A negative BurstLenS or Sigma would otherwise be silently replaced
+	// by the trace generator's default: fail the whole call up front
+	// like every other base-config field.
+	if cfg.BurstLenS < 0 || cfg.Sigma < 0 {
+		return a, fmt.Errorf("llmbench: negative serve tuning (BurstLenS %v, Sigma %v)", cfg.BurstLenS, cfg.Sigma)
 	}
 	return a, nil
 }
@@ -696,9 +686,10 @@ var kernelScratch = sync.Pool{New: func() any { return new(des.Scratch) }}
 
 // runServePoint runs one grid point's simulation, recording failures
 // in p.Err. Each point owns its trace and allocators; the engine is
-// shared (engines are immutable and concurrency-safe). Every fixed
-// fleet — continuous or static — runs on the cluster kernel, so the
-// full Policies × Replicas grid is served without per-point gaps.
+// shared (engines are immutable and concurrency-safe). Shared-prefix
+// points get tiered prefix-sharing allocators on every replica
+// regardless of routing policy, so the Policies axis compares
+// rr/ll/prefix routing on identical caches.
 func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget float64,
 	cfg ServeSweepConfig, axes serveAxes, traceIdx int) {
 	trace, err := axes.pointTrace(cfg, p, traceIdx)
@@ -708,100 +699,24 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 	}
 	scratch := kernelScratch.Get().(*des.Scratch)
 	defer kernelScratch.Put(scratch)
-	// Shared-prefix points get tiered prefix-sharing allocators on
-	// every replica regardless of routing policy, so the Policies axis
-	// compares rr/ll/prefix routing on identical caches. Zero-share
-	// points build the exact allocator non-prefix sweeps always had.
-	newAlloc := func() (kvcache.Allocator, error) { return servingAlloc(sys, budget) }
-	if ptoks := prefixTokensFor(p.PrefixShare, p.Mix.Input); ptoks > 0 {
-		hostBudget := cfg.HostKVGiB * (1 << 30)
-		if hostBudget == 0 {
-			hostBudget = budget
-		}
-		newAlloc = func() (kvcache.Allocator, error) {
-			return servingPrefixAlloc(sys, budget, hostBudget, ptoks)
-		}
+	hostBudget := cfg.HostKVGiB * (1 << 30)
+	if hostBudget == 0 {
+		hostBudget = budget
 	}
-	if p.Policy.Autoscale {
-		upOut := cfg.UpOutstanding
-		if upOut == 0 {
-			upOut = 2 * p.MaxBatch
-		}
-		downIdle, cooldown := cfg.DownIdleS, cfg.CooldownS
-		if downIdle == 0 {
-			downIdle = 3
-		}
-		if cooldown == 0 {
-			cooldown = 1
-		}
-		factory := func() (cluster.Replica, error) {
-			alloc, err := newAlloc()
-			if err != nil {
-				return cluster.Replica{}, err
-			}
-			return cluster.Replica{Engine: eng, Alloc: alloc}, nil
-		}
-		auto, err := cluster.ServeAutoscale(
-			cluster.Config{
-				MaxBatch: p.MaxBatch, Static: p.Policy.Static,
-				ChunkedPrefill: cfg.ChunkedPrefill, PrefillChunk: cfg.PrefillChunk,
-				Streaming: cfg.StreamStats, Scratch: scratch,
-			},
-			cluster.Autoscale{
-				Factory: factory, Min: 1, Max: p.Replicas,
-				UpOutstanding: upOut, DownIdleS: downIdle, CooldownS: cooldown,
-			}, trace)
-		if err != nil {
-			p.Err = err
-			return
-		}
-		p.Stats = auto.Stats.Stats
-		p.PerReplica = auto.PerReplica
-		p.PeakReplicas = auto.PeakReplicas
-		return
-	}
-	ccfg := cluster.Config{
-		Policy: routePolicy(p.Policy), MaxBatch: p.MaxBatch,
-		Static:         p.Policy.Static,
-		ChunkedPrefill: cfg.ChunkedPrefill, PrefillChunk: cfg.PrefillChunk,
-		Streaming: cfg.StreamStats, Scratch: scratch,
-	}
-	if p.Policy.Disagg() {
-		// The policy's pool split is a ratio: the point's fleet must
-		// divide evenly into PrefillPool+DecodePool shares. Priced
-		// before allocators are built — the divisibility failure is the
-		// common user error.
-		share := p.Policy.PrefillPool + p.Policy.DecodePool
-		if p.Replicas%share != 0 {
-			p.Err = fmt.Errorf("llmbench: disagg split %d:%d needs a fleet divisible by %d (got %d replicas)",
-				p.Policy.PrefillPool, p.Policy.DecodePool, share, p.Replicas)
-			return
-		}
-		tc, err := transferCost(sys)
-		if err != nil {
-			p.Err = err
-			return
-		}
-		ccfg.PrefillReplicas = p.Replicas / share * p.Policy.PrefillPool
-		ccfg.Transfer = tc
-	}
-	replicas := make([]cluster.Replica, p.Replicas)
-	for i := range replicas {
-		alloc, err := newAlloc()
-		if err != nil {
-			p.Err = err
-			return
-		}
-		replicas[i] = cluster.Replica{Engine: eng, Alloc: alloc}
-	}
-	ccfg.Replicas = replicas
-	st, err := cluster.Serve(ccfg, trace)
+	st, err := runFleet(fleet{
+		sys: sys, eng: eng, budget: budget, policy: p.Policy,
+		replicas: p.Replicas, maxBatch: p.MaxBatch,
+		prefixTokens: prefixTokensFor(p.PrefixShare, p.Mix.Input), hostBudget: hostBudget,
+		chunkedPrefill: cfg.ChunkedPrefill, prefillChunk: cfg.PrefillChunk,
+		streaming: cfg.StreamStats, scratch: scratch,
+	}, trace)
 	if err != nil {
 		p.Err = err
 		return
 	}
-	p.Stats = st.Stats
+	p.Stats = st.Stats.Stats
 	p.PerReplica = st.PerReplica
+	p.PeakReplicas = st.PeakReplicas
 }
 
 func routePolicy(p ServePolicy) cluster.Policy {

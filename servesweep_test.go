@@ -17,7 +17,9 @@ var serveSweepCfg = ServeSweepConfig{
 // TestServeSweepGridOrderAndValues pins the axis nesting (Policies ▸
 // Replicas ▸ MaxBatches ▸ Rates) and that a continuous fixed-fleet
 // point is byte-identical to a direct ServeCluster run of the same
-// configuration and trace.
+// configuration and trace. Both run through runFleet, so the match
+// pins the sweep's trace seeding and result plumbing; the fleet itself
+// is pinned by TestFleetShapeGoldens and TestServeSweepAggregatedGolden.
 func TestServeSweepGridOrderAndValues(t *testing.T) {
 	grid := ServeGrid{
 		Rates:    []float64{4, 8},
@@ -173,7 +175,9 @@ func TestServeSweepPerPointErrors(t *testing.T) {
 
 // TestServeSweepStaticCluster: the Policies × Replicas grid has no
 // static hole left — multi-replica static points succeed, match a
-// direct static ServeCluster run byte for byte, and never preempt.
+// direct static ServeCluster run byte for byte (both run through
+// runFleet; TestServeSweepAggregatedGolden pins the static fleet
+// itself), and never preempt.
 func TestServeSweepStaticCluster(t *testing.T) {
 	grid := ServeGrid{
 		Rates:    []float64{6},
@@ -315,10 +319,7 @@ func TestServeSweepValidation(t *testing.T) {
 		t.Error("zero-request trace shape must fail up front")
 	}
 	for name, mut := range map[string]func(*ServeSweepConfig){
-		"UpOutstanding": func(c *ServeSweepConfig) { c.UpOutstanding = -1 },
-		"DownIdleS":     func(c *ServeSweepConfig) { c.DownIdleS = -0.5 },
-		"CooldownS":     func(c *ServeSweepConfig) { c.CooldownS = -1 },
-		"BurstLenS":     func(c *ServeSweepConfig) { c.BurstLenS = -2 },
+		"BurstLenS": func(c *ServeSweepConfig) { c.BurstLenS = -2 },
 	} {
 		bad := base
 		mut(&bad)
